@@ -57,16 +57,22 @@ struct NamedRun
     RunResult result;
 };
 
-inline RunResult
-run(const Workload &wl, ArchKind arch, int threads, double pressure,
-    int d_ratio = 1)
+inline BuildSpec
+benchSpec(ArchKind arch, int threads, double pressure, int d_ratio = 1)
 {
     BuildSpec spec;
     spec.arch = arch;
     spec.threads = threads;
     spec.pressure = pressure;
     spec.dRatio = d_ratio;
-    return runWorkload(wl, spec);
+    return spec;
+}
+
+inline RunResult
+run(const Workload &wl, ArchKind arch, int threads, double pressure,
+    int d_ratio = 1)
+{
+    return runWorkload(wl, benchSpec(arch, threads, pressure, d_ratio));
 }
 
 /** Memory/Processor split of @p r scaled to its normalized total. */

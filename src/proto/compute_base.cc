@@ -126,9 +126,13 @@ ComputeBase::memLine(Addr addr) const
 }
 
 void
-ComputeBase::complete(Tick when, ReadService svc, const CompletionFn &cb)
+ComputeBase::complete(Tick when, ReadService svc, CompletionFn cb)
 {
-    ctx_.eq().schedule(when, [cb, when, svc] { cb(when, svc); });
+    // Init-capture: a by-copy capture of a const reference would make
+    // the closure member `const std::function`, which is not nothrow
+    // movable and so could never be stored inline by InlineCallback.
+    ctx_.eq().schedule(when,
+                       [cb = std::move(cb), when, svc] { cb(when, svc); });
 }
 
 void
@@ -504,7 +508,7 @@ ComputeBase::finishAccess(Mshr &m)
             ++loadsServed_;
             readStats_.record(svc, done - m.issueTick);
         }
-        complete(done, svc, cb);
+        complete(done, svc, std::move(cb));
     }
 
     if (m.needsTxnDone) {
@@ -518,7 +522,7 @@ ComputeBase::finishAccess(Mshr &m)
         ctx_.eq().schedule(done, [this, ack] { ctx_.send(ack); });
     }
 
-    std::deque<PendingAccess> deferred = std::move(m.deferred);
+    Fifo<PendingAccess> deferred = std::move(m.deferred);
     std::vector<Message> fwds = std::move(m.deferredFwds);
     mshrs_.erase(line);
 
@@ -677,7 +681,7 @@ ComputeBase::handleWriteBackAck(const Message &msg)
 
     auto it = wbBlocked_.find(msg.lineAddr);
     if (it != wbBlocked_.end()) {
-        std::deque<PendingAccess> waiters = std::move(it->second);
+        Fifo<PendingAccess> waiters = std::move(it->second);
         wbBlocked_.erase(it);
         for (const auto &acc : waiters)
             startAccess(acc);

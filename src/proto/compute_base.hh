@@ -30,6 +30,7 @@
 #include "proto/message.hh"
 #include "proto/spec.hh"
 #include "proto/stuck.hh"
+#include "sim/fifo.hh"
 #include "sim/flat_map.hh"
 #include "sim/function_ref.hh"
 #include "sim/stats.hh"
@@ -163,7 +164,7 @@ class ComputeBase
         /** Original virtual addresses + callbacks coalesced here. */
         std::vector<std::pair<Addr, CompletionFn>> waiters;
         /** Accesses re-issued after completion (write joining a read). */
-        std::deque<PendingAccess> deferred;
+        Fifo<PendingAccess> deferred;
 
         // --- fault tolerance (active only when faults are enabled) ---
         /** Request type sent (resent verbatim on timeout). */
@@ -321,7 +322,7 @@ class ComputeBase
     void drainBlocked();
 
     /** Schedule @p cb at @p when with service class @p svc. */
-    void complete(Tick when, ReadService svc, const CompletionFn &cb);
+    void complete(Tick when, ReadService svc, CompletionFn cb);
 
     // ------------------------------------------------------------------
     // Fault tolerance (inert unless cfg().faults.enabled()).
@@ -365,7 +366,7 @@ class ComputeBase
     /** Displaced owned lines awaiting WriteBackAck. */
     FlatMap<Addr, WbPending> wbPending_;
     /** Accesses waiting for a WriteBackAck on their line. */
-    FlatMap<Addr, std::deque<PendingAccess>> wbBlocked_;
+    FlatMap<Addr, Fifo<PendingAccess>> wbBlocked_;
 
     int maxMshrs_ = 16;
     /** Fixed cost of detecting a node-level miss (tag check). */

@@ -8,10 +8,10 @@
 #define PIMDSM_PROTO_DIRECTORY_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "proto/message.hh"
+#include "sim/fifo.hh"
 #include "sim/flat_map.hh"
 #include "sim/function_ref.hh"
 #include "sim/types.hh"
@@ -32,21 +32,21 @@ struct DirEntry
         Dirty,    ///< exactly one modified copy, at owner
     };
 
-    State state = State::Uncached;
+    // Members are ordered to pack: a FlatMap slot moves the whole
+    // entry on every robin-hood displacement.
     /** Bit per node holding (possibly stale) a shared copy. */
     std::uint64_t sharers = 0;
     /** Dirty owner, or the shared-master holder when masterOut. */
     NodeId owner = kInvalidNode;
+    State state = State::Uncached;
     /** A compute node holds mastership of this Shared line. */
     bool masterOut = false;
     /** Home storage holds an up-to-date copy. */
     bool homeHasData = false;
-    /** AGG: index into the D-node Data array (kNilPtr if none). */
-    std::uint32_t localPtr = kNilPtr;
     /** AGG: the home copy was paged out to disk. */
     bool pagedOut = false;
-    /** Version of the home copy (when homeHasData/pagedOut). */
-    Version version = 0;
+    /** AGG: index into the D-node Data array (kNilPtr if none). */
+    std::uint32_t localPtr = kNilPtr;
     /** Limited-pointer overflow: sharer set is imprecise and writes
      *  must broadcast invalidations (Section 2.2.2's 3-pointer
      *  limited-vector scheme). */
@@ -63,8 +63,10 @@ struct DirEntry
      *  transaction's progress depends on the old owner — if it
      *  fail-stops, the forward is lost and the home must abort. */
     NodeId fwdTo = kInvalidNode;
+    /** Version of the home copy (when homeHasData/pagedOut). */
+    Version version = 0;
     /** Requests blocked on busy. */
-    std::deque<Message> pending;
+    Fifo<Message> pending;
 
     bool
     isSharer(NodeId n) const

@@ -731,7 +731,7 @@ HomeBase::abortNode(NodeId dead, std::vector<Addr> *unblocked_out)
     dir_.forEach([&](Addr line, DirEntry &e) {
         // Purge the dead node's queued requests.
         if (!e.pending.empty()) {
-            std::deque<Message> keep;
+            Fifo<Message> keep;
             for (Message &m : e.pending) {
                 if (m.src == dead || m.requester == dead)
                     ctx_.stats().add("home.req_from_dead_dropped");

@@ -99,6 +99,31 @@ RunResult runWorkload(MachineConfig cfg, const Workload &wl,
 RunResult runWorkload(const Workload &wl, const BuildSpec &spec,
                       const RunOptions &opts = {});
 
+/** One independent experiment for runPoints(). */
+struct ExperimentPoint
+{
+    /** Shared read-only between points; must outlive runPoints(). */
+    const Workload *workload = nullptr;
+    BuildSpec spec;
+    RunOptions opts;
+};
+
+/**
+ * Run independent points on a worker pool; result i is exactly what
+ * runWorkload(*points[i].workload, points[i].spec, points[i].opts)
+ * returns serially. Each point builds its own Machine, so points share
+ * no simulation state.
+ *
+ * @p max_workers caps the pool; 0 means one worker per CPU in the
+ * process's affinity mask. The pool never exceeds the point count, and
+ * a single worker runs on the calling thread. If points throw, workers
+ * stop taking new points and the exception of the lowest-numbered
+ * failing point is rethrown once every worker has finished — the same
+ * exception a serial loop would have thrown first.
+ */
+std::vector<RunResult> runPoints(const std::vector<ExperimentPoint> &points,
+                                 int max_workers = 0);
+
 } // namespace pimdsm
 
 #endif // PIMDSM_REPORT_EXPERIMENT_HH

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hh"
 
+#include <atomic>
 #include <bit>
 #include <cstdlib>
 
@@ -11,10 +12,12 @@ namespace pimdsm
 namespace
 {
 
-EventQueue::KernelKind &
+/** Process-wide default, read by every EventQueue constructor; atomic
+ *  because independent Machines may be built on concurrent threads. */
+std::atomic<EventQueue::KernelKind> &
 defaultKindStorage()
 {
-    static EventQueue::KernelKind kind = [] {
+    static std::atomic<EventQueue::KernelKind> kind = [] {
         const char *env = std::getenv("PIMDSM_REF_KERNEL");
         return (env && env[0] != '\0' && env[0] != '0')
                    ? EventQueue::KernelKind::ReferenceHeap
@@ -28,13 +31,13 @@ defaultKindStorage()
 EventQueue::KernelKind
 EventQueue::defaultKind()
 {
-    return defaultKindStorage();
+    return defaultKindStorage().load(std::memory_order_relaxed);
 }
 
 void
 EventQueue::setDefaultKind(KernelKind kind)
 {
-    defaultKindStorage() = kind;
+    defaultKindStorage().store(kind, std::memory_order_relaxed);
 }
 
 EventQueue::EventQueue(KernelKind kind) : kind_(kind)

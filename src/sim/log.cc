@@ -1,5 +1,6 @@
 #include "sim/log.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <set>
@@ -37,12 +38,24 @@ warnMutex()
     return mu;
 }
 
+/** Enabled trace components. Concurrent Machines read it on every
+ *  message delivery, so reads take the lock only while some component
+ *  is enabled (traceCount is non-zero). */
 std::set<std::string> &
 traceSet()
 {
     static std::set<std::string> s;
     return s;
 }
+
+std::mutex &
+traceMutex()
+{
+    static std::mutex mu;
+    return mu;
+}
+
+std::atomic<std::size_t> traceCount{0};
 
 } // namespace
 
@@ -68,15 +81,20 @@ warnResetForTest()
 void
 Trace::enable(const std::string &component, bool on)
 {
+    std::lock_guard<std::mutex> g(traceMutex());
     if (on)
         traceSet().insert(component);
     else
         traceSet().erase(component);
+    traceCount.store(traceSet().size(), std::memory_order_release);
 }
 
 bool
 Trace::enabled(const std::string &component)
 {
+    if (traceCount.load(std::memory_order_acquire) == 0)
+        return false;
+    std::lock_guard<std::mutex> g(traceMutex());
     return traceSet().count(component) != 0;
 }
 

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -18,6 +20,7 @@
 #include "machine/machine.hh"
 #include "report/experiment.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/flat_map.hh"
 #include "sim/inline_callback.hh"
 #include "sim/pool.hh"
@@ -236,6 +239,41 @@ TEST(InlineCallback, CopyableCapturesSurviveDuplication)
     cb();
     dup();
     EXPECT_EQ(*shared, 2);
+}
+
+// ---------------------------------------------------------------------
+// Fifo.
+// ---------------------------------------------------------------------
+
+TEST(Fifo, InterleavedPushPopMatchesDeque)
+{
+    // Push-heavy then pop-heavy stretches, so the queue both drains
+    // completely and compacts a popped prefix while non-empty.
+    Fifo<int> q;
+    std::deque<int> ref;
+    Rng rng(11);
+    for (int i = 0; i < 20000; ++i) {
+        const bool push_heavy = (i / 1000) % 2 == 0;
+        if (ref.empty() || rng.nextBounded(4) < (push_heavy ? 3u : 1u)) {
+            q.push_back(i);
+            ref.push_back(i);
+        } else {
+            ASSERT_EQ(q.front(), ref.front());
+            q.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        ASSERT_EQ(q.empty(), ref.empty());
+    }
+    EXPECT_TRUE(std::equal(q.begin(), q.end(), ref.begin(), ref.end()));
+
+    // Moves hand the elements over and leave the source empty.
+    Fifo<int> moved = std::move(q);
+    EXPECT_TRUE(q.empty()); // NOLINT: moved-from state is specified
+    EXPECT_EQ(moved.size(), ref.size());
+    q = std::move(moved);
+    EXPECT_TRUE(moved.empty()); // NOLINT: moved-from state is specified
+    EXPECT_TRUE(std::equal(q.begin(), q.end(), ref.begin(), ref.end()));
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "machine/machine.hh"
 #include "sim/log.hh"
 
@@ -437,6 +440,52 @@ TEST(AggProtocol, ForwardedTransactionsDoAcknowledge)
     // The home line must be unblocked again (a follow-up request
     // completes rather than queueing forever).
     doAccess(m, 0, kLine, true);
+    m.checkInvariants();
+}
+
+TEST(AggProtocol, QueuedRequestsOnBusyLineDrainInFifoOrder)
+{
+    // Requests reaching a busy home line wait in the entry's pending
+    // queue and are served in arrival order once the line unblocks.
+    Machine m(smallCfg(ArchKind::Agg, 4, 1));
+    doAccess(m, 0, kLine, true); // Dirty at node 0
+    const NodeId home = m.homeOf(kLine, 0);
+    DirectoryTable &dir = m.home(home)->directory();
+    ASSERT_NE(dir.find(kLine), nullptr);
+    // Hold the line as if node 0 still had a transaction in flight.
+    dir.find(kLine)->busy = true;
+    dir.find(kLine)->busyFor = 0;
+
+    const NodeId arrival[] = {3, 1, 2};
+    std::array<Tracker, 4> t;
+    std::size_t queued = 0;
+    for (NodeId n : arrival) {
+        m.compute(n)->access(kLine, true, t[n].fn());
+        ++queued;
+        while (dir.find(kLine)->pending.size() < queued)
+            ASSERT_TRUE(m.eq().runOne());
+    }
+    std::vector<NodeId> srcs;
+    for (const Message &msg : dir.find(kLine)->pending)
+        srcs.push_back(msg.src);
+    EXPECT_EQ(srcs, (std::vector<NodeId>{3, 1, 2}));
+
+    // Node 0's TxnDone unblocks the line. Each queued write then
+    // completes before the next is served, so completion order is the
+    // serve order.
+    Message done;
+    done.type = MsgType::TxnDone;
+    done.lineAddr = kLine;
+    done.src = 0;
+    done.dst = home;
+    m.home(home)->handleMessage(done);
+    m.eq().run();
+    for (NodeId n : arrival)
+        EXPECT_TRUE(t[n].done) << "node " << n;
+    EXPECT_LT(t[3].when, t[1].when);
+    EXPECT_LT(t[1].when, t[2].when);
+    EXPECT_TRUE(dir.find(kLine)->pending.empty());
+    EXPECT_EQ(dir.find(kLine)->owner, 2);
     m.checkInvariants();
 }
 

@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "report/experiment.hh"
 #include "report/report.hh"
+#include "sim/log.hh"
 #include "workload/apps.hh"
 
 namespace pimdsm
@@ -112,6 +115,75 @@ TEST(ExperimentRunner, DeterministicAcrossRuns)
     EXPECT_EQ(a.messages, b.messages);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.reads.totalAllLatency(), b.reads.totalAllLatency());
+}
+
+/** Every figure-facing aggregate of two runs is identical. */
+void
+expectSameResult(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(a.totalTicks, b.totalTicks);
+    EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.census.dirtyInPNode, b.census.dirtyInPNode);
+    EXPECT_EQ(a.census.sharedInPNode, b.census.sharedInPNode);
+    EXPECT_EQ(a.census.dNodeOnly, b.census.dNodeOnly);
+    EXPECT_EQ(a.census.dNodeCapacityLines, b.census.dNodeCapacityLines);
+    EXPECT_EQ(a.census.dNodeUsedLines, b.census.dNodeUsedLines);
+    for (int c = 0; c < ReadLatencyStats::kNum; ++c) {
+        EXPECT_EQ(a.reads.count[c], b.reads.count[c]);
+        EXPECT_EQ(a.reads.totalLatency[c], b.reads.totalLatency[c]);
+    }
+}
+
+ExperimentPoint
+point(const Workload &wl, ArchKind arch, double pressure, int d_ratio)
+{
+    ExperimentPoint p;
+    p.workload = &wl;
+    p.spec.arch = arch;
+    p.spec.threads = 8; // the quick-sweep size
+    p.spec.pressure = pressure;
+    p.spec.dRatio = d_ratio;
+    return p;
+}
+
+TEST(RunPoints, MatchesSerialRunsInSubmissionOrder)
+{
+    auto fft = makeWorkload("fft");
+    auto dbase = makeWorkload("dbase");
+    const std::vector<ExperimentPoint> points = {
+        point(*fft, ArchKind::Numa, 0.75, 1),
+        point(*dbase, ArchKind::Coma, 0.25, 1),
+        point(*fft, ArchKind::Agg, 0.75, 2),
+        point(*dbase, ArchKind::Agg, 0.25, 4),
+    };
+    std::vector<RunResult> serial;
+    for (const auto &p : points)
+        serial.push_back(runWorkload(*p.workload, p.spec, p.opts));
+
+    for (int workers : {1, 4}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        const std::vector<RunResult> pooled = runPoints(points, workers);
+        ASSERT_EQ(pooled.size(), serial.size());
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            SCOPED_TRACE("point " + std::to_string(i));
+            expectSameResult(pooled[i], serial[i]);
+        }
+    }
+}
+
+TEST(RunPoints, LowestFailingPointsErrorReachesTheCaller)
+{
+    auto fft = makeWorkload("fft");
+    std::vector<ExperimentPoint> points(
+        5, point(*fft, ArchKind::Agg, 0.25, 2));
+    // Point 1 panics on its event budget; point 3's spec is rejected
+    // at build time, so it fails first on the wall clock. The caller
+    // must still see point 1's error — the one a serial loop hits.
+    points[1].opts.maxEventsPerPhase = 100;
+    points[3].spec.pressure = 0.0;
+    EXPECT_THROW(runPoints(points, 4), PanicError);
+    EXPECT_THROW(runPoints({points[3]}, 4), FatalError);
+    EXPECT_TRUE(runPoints({}, 4).empty());
 }
 
 } // namespace

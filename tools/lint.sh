@@ -108,6 +108,38 @@ if [ -n "$hits" ]; then
     complain "std::function / node-based map in a hot path (use sim/inline_callback.hh, sim/function_ref.hh, or sim/flat_map.hh):" "$hits"
 fi
 
+# --- 6a. No std::deque in per-line / per-transaction values -----------
+# libstdc++'s std::deque allocates a 64 B map plus a 512 B node when it
+# is constructed and again when it is moved from: 576 B of heap per
+# construct or move, even while empty. Directory entries, MSHRs and
+# every other FlatMap value in src/proto are created, moved (robin-hood
+# displacement, rehash) and destroyed at simulation rate, so their
+# queues use sim/fifo.hh instead. Single long-lived members (e.g.
+# Mesh::blocked_, ComputeBase::blocked_) may stay std::deque.
+proto_files=$(find src/proto -name '*.cc' -o -name '*.hh' | sort)
+flat_values=$(echo "$proto_files" | xargs grep -ohE 'FlatMap<.*>' |
+              sed -E 's/.*, *([A-Za-z_]+)>$/\1/' |
+              grep -xE '[A-Za-z_]+' | sort -u)
+hits=$(echo "$proto_files" |
+       xargs grep -nE 'FlatMap<[^;]*std::deque<' 2>/dev/null)
+for v in DirEntry Mshr $flat_values; do
+    hits="$hits$(echo "$proto_files" | xargs awk -v name="$v" '
+        !inside && $0 ~ ("^[ \t]*struct[ \t]+" name "([ \t]|$)") &&
+            $0 !~ /;[ \t]*$/ { inside = 1; depth = 0; opened = 0 }
+        inside {
+            if ($0 ~ /std::deque</ && $0 !~ /^[ \t]*(\/\/|\*|\/\*)/)
+                printf "\n%s:%d:%s", FILENAME, FNR, $0
+            o = gsub(/\{/, "{"); c = gsub(/\}/, "}")
+            depth += o - c
+            if (o > 0) opened = 1
+            if (opened && depth <= 0) inside = 0
+        }')"
+done
+hits=$(echo "$hits" | sed '/^$/d' | sort -u)
+if [ -n "$hits" ]; then
+    complain "std::deque in a per-line/per-transaction value in src/proto (576 B of heap per construct/move; use sim/fifo.hh):" "$hits"
+fi
+
 # --- 6b. Transition-table construction discipline ---------------------
 # The declarative protocol spec is single-source: transition tables are
 # built ONLY in src/proto/spec.cc (the real spec) and consumed — never
