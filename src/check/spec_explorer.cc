@@ -252,7 +252,11 @@ nodeName(std::uint8_t id)
         return "home";
     if (id == kNil)
         return "-";
-    return "n" + std::to_string(static_cast<int>(id));
+    // Appended rather than `"n" + std::to_string(...)`: GCC 12 raises
+    // a false -Wrestrict from that operator+ once Release inlines it.
+    std::string name = "n";
+    name += std::to_string(static_cast<int>(id));
+    return name;
 }
 
 std::string

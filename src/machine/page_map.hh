@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -45,19 +44,8 @@ class PageMap
 
     void clear() { pages_.clear(); }
 
-    /**
-     * Guard lookups/assignments with an internal mutex. The windowed
-     * parallel kernel turns this on: shard threads race on first-touch
-     * lookups, and the (hash-based) placement they assign is
-     * idempotent, so a mutex around the table structure is all that is
-     * needed. Off (default) for the sequential kernel — no overhead.
-     */
-    void setThreadSafe(bool on) { threadSafe_ = on; }
-
   private:
     std::uint64_t pageBytes_;
-    bool threadSafe_ = false;
-    mutable std::mutex mu_;
     std::unordered_map<Addr, NodeId> pages_;
 };
 

@@ -30,7 +30,7 @@ warnedSet()
     return s;
 }
 
-/** warn() can fire from shard threads under the windowed kernel. */
+/** warn() can fire from concurrent runPoints() workers. */
 std::mutex &
 warnMutex()
 {

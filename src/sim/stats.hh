@@ -44,8 +44,6 @@ class StatSet
     /** Pretty-print "name value" lines. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
 
-    void clear() { scalars_.clear(); }
-
   private:
     std::map<std::string, double> scalars_;
 };

@@ -200,6 +200,95 @@ TEST(FaultInjection, DuplicatedReplyIsIgnoredOnce)
     m.checkInvariants();
 }
 
+// ------------------------------------------------ freshness assertions
+
+/**
+ * Make the home's copy of kLine stale behind its back: node 0's cold
+ * read leaves the data at the home, then the machine's version table
+ * moves past it without any protocol traffic. Node 1's read is then
+ * served from a copy that trails the latest committed version.
+ */
+void
+readFromStaleHome(Machine &m)
+{
+    doAccess(m, 0, kLine, false);
+    m.bumpVersion(kLine);
+    Tracker t;
+    m.compute(1)->access(kLine, false, t.fn());
+    m.eq().run();
+}
+
+TEST(Freshness, StaleHomeCopyPanicsWhenFaultFree)
+{
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    ASSERT_FALSE(cfg.faults.enabled());
+    Machine m(cfg);
+    try {
+        readFromStaleHome(m);
+        FAIL() << "expected the home freshness assertion to panic";
+    } catch (const PanicError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("home serving a stale copy"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(Freshness, StaleHomeCopyIsCountedUnderFaultInjection)
+{
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    // Fault mode with nothing injected: the tolerant paths are live,
+    // so the same stale serve is degradation, not a protocol bug.
+    cfg.faults.armRecovery = true;
+    ASSERT_TRUE(cfg.faults.enabled());
+    Machine m(cfg);
+    warnResetForTest();
+    EXPECT_NO_THROW(readFromStaleHome(m));
+    warnResetForTest();
+    EXPECT_EQ(m.stats().get("fault.stale_home_serves"), 1.0);
+}
+
+/**
+ * The requester-side twin: node 0 owns kLine dirty, so node 1's read
+ * is forwarded and supplied by node 0 as a blocked (TxnDone)
+ * transaction. With the version table bumped behind the owner's back,
+ * the supplied copy is stale when the read completes.
+ */
+void
+forwardedReadOfStaleOwner(Machine &m)
+{
+    doAccess(m, 0, kLine, true);
+    m.bumpVersion(kLine);
+    Tracker t;
+    m.compute(1)->access(kLine, false, t.fn());
+    m.eq().run();
+}
+
+TEST(Freshness, StaleForwardedReadPanicsWhenFaultFree)
+{
+    Machine m(smallCfg(ArchKind::Agg, 2, 1));
+    try {
+        forwardedReadOfStaleOwner(m);
+        FAIL() << "expected the read-completion assertion to panic";
+    } catch (const PanicError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("read completed with stale data version"),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(Freshness, StaleForwardedReadIsCountedUnderFaultInjection)
+{
+    MachineConfig cfg = smallCfg(ArchKind::Agg, 2, 1);
+    cfg.faults.armRecovery = true;
+    Machine m(cfg);
+    warnResetForTest();
+    EXPECT_NO_THROW(forwardedReadOfStaleOwner(m));
+    warnResetForTest();
+    EXPECT_EQ(m.stats().get("fault.stale_read_completions"), 1.0);
+}
+
 // ------------------------------------------------------------ watchdog
 
 TEST(FaultInjection, TotalLossTripsWatchdogWithDiagnostic)
