@@ -263,7 +263,12 @@ std::string
 renderMsg(const AMsg &m)
 {
     std::string s = msgTypeName(static_cast<MsgType>(m.type));
-    s += " " + nodeName(m.src) + "->" + nodeName(m.dst);
+    // Appended piecewise: `" " + nodeName(...)` raises the same false
+    // GCC 12 Release -Wrestrict as nodeName() above.
+    s += ' ';
+    s += nodeName(m.src);
+    s += "->";
+    s += nodeName(m.dst);
     s += " ver" + std::to_string(static_cast<int>(m.ver));
     if (m.ack)
         s += " ack" + std::to_string(static_cast<int>(m.ack));

@@ -96,6 +96,14 @@ struct DirEntry
     int sharerCount() const { return __builtin_popcountll(sharers); }
 };
 
+// Fault-campaign peak memory: every line homed anywhere holds one
+// DirEntry in a FlatMap slot, and almost every pending queue is empty,
+// so the queue is a bare pointer. A new field must be a conscious
+// layout change.
+static_assert(sizeof(Fifo<Message>) == sizeof(void *),
+              "an empty pending queue must cost one pointer");
+static_assert(sizeof(DirEntry) == 48, "DirEntry must stay 48 B");
+
 /**
  * All directory entries homed at one node. Entries are created lazily
  * when the first request for a line arrives (the OS maps the page and

@@ -958,11 +958,10 @@ HomeBase::dedupRequest(const Message &msg)
         // Fresh transaction: record it and serve normally.
         ServedTxn &st = served_[key];
         st.seq = msg.txnSeq;
-        st.hasReply = false;
-        st.reply = Message{};
+        st.reply = CachedReply{};
         return false;
     }
-    if (msg.txnSeq == it->second.seq && it->second.hasReply) {
+    if (msg.txnSeq == it->second.seq && it->second.reply.valid) {
         if (msg.version != 0 && it->second.reply.version <= msg.version) {
             // The retry carries a version floor: the requester served
             // a superseding exclusive forward after this grant was
@@ -984,7 +983,8 @@ HomeBase::dedupRequest(const Message &msg)
             const Tick now = ctx_.eq().curTick();
             const Tick start =
                 engine_.acquire(now, scaled(costs().ackOccupancy));
-            Message r = it->second.reply;
+            Message r =
+                it->second.reply.toMessage(msg.lineAddr, it->second.seq);
             r.legs = msg.legs + 1;
             ctx_.stats().add("home.reply_replayed");
             sendAt(start + scaled(costs().ackLatency), r);
@@ -1029,15 +1029,57 @@ HomeBase::dedupRequest(const Message &msg)
     return true;
 }
 
+HomeBase::CachedReply
+HomeBase::CachedReply::of(const Message &r, Addr line)
+{
+    // Replay rebuilds the line from the served_ key; a reply for any
+    // other line would be replayed to the wrong address.
+    if (r.lineAddr != line)
+        panic("cached reply for another line: " + r.toString());
+    CachedReply c;
+    c.version = r.version;
+    c.cimCount = r.cimCount;
+    c.dst = r.dst;
+    c.requester = r.requester;
+    c.ackCount = r.ackCount;
+    c.type = r.type;
+    c.fwdKind = r.fwdKind;
+    c.valid = true;
+    c.grantsMaster = r.grantsMaster;
+    c.needsTxnDone = r.needsTxnDone;
+    c.masterClean = r.masterClean;
+    c.isRetry = r.isRetry;
+    return c;
+}
+
+Message
+HomeBase::CachedReply::toMessage(Addr line, std::uint64_t seq) const
+{
+    Message r;
+    r.lineAddr = line;
+    r.version = version;
+    r.cimCount = cimCount;
+    r.txnSeq = seq;
+    r.dst = dst;
+    r.requester = requester;
+    r.ackCount = ackCount;
+    r.type = type;
+    r.fwdKind = fwdKind;
+    r.grantsMaster = grantsMaster;
+    r.needsTxnDone = needsTxnDone;
+    r.masterClean = masterClean;
+    r.isRetry = isRetry;
+    return r;
+}
+
 void
 HomeBase::scrubServedReply(Addr line, NodeId node)
 {
     if (!faultsOn_)
         return;
     auto sit = served_.find({line, node});
-    if (sit != served_.end() && sit->second.hasReply) {
-        sit->second.hasReply = false;
-        sit->second.reply = Message{};
+    if (sit != served_.end() && sit->second.reply.valid) {
+        sit->second.reply = CachedReply{};
         ctx_.stats().add("home.stale_reply_scrubbed");
     }
 }
@@ -1049,8 +1091,7 @@ HomeBase::sendReplyTracked(Tick when, Message r, const Message &req)
         r.txnSeq = req.txnSeq;
         ServedTxn &st = served_[{req.lineAddr, req.src}];
         st.seq = req.txnSeq;
-        st.hasReply = true;
-        st.reply = r;
+        st.reply = CachedReply::of(r, req.lineAddr);
     }
     sendAt(when, r);
 }

@@ -297,13 +297,37 @@ class HomeBase
     /** Monotonic egress time (see sendAt). */
     Tick egressClock_ = 0;
 
+    /**
+     * A home reply cached for replay, minus what a replay rebuilds:
+     * lineAddr is the served_ key's line, txnSeq is ServedTxn::seq,
+     * and src and legs are rewritten on every send.
+     */
+    struct CachedReply
+    {
+        Version version = 0;
+        std::uint64_t cimCount = 0;
+        NodeId dst = kInvalidNode;
+        NodeId requester = kInvalidNode;
+        int ackCount = 0;
+        MsgType type = MsgType::ReadReq;
+        FwdKind fwdKind = FwdKind::Read;
+        bool valid : 1 = false;
+        bool grantsMaster : 1 = false;
+        bool needsTxnDone : 1 = false;
+        bool masterClean : 1 = false;
+        bool isRetry : 1 = false;
+
+        /** Cache @p r, a reply for @p line (panics otherwise). */
+        static CachedReply of(const Message &r, Addr line);
+        /** The reply as it was cached, for @p line's txn @p seq. */
+        Message toMessage(Addr line, std::uint64_t seq) const;
+    };
+
     /** Last transaction served per <line, requester> (+ cached reply),
      *  for idempotent request handling. Populated only under faults. */
     struct ServedTxn
     {
         std::uint64_t seq = 0;
-        bool hasReply = false;
-        Message reply;
         /**
          * Highest WriteBack sequence processed from this node for this
          * line. Writebacks get their own dedup lane: a duplicate can
@@ -313,7 +337,14 @@ class HomeBase
          * eviction — only the sequence number can.
          */
         std::uint64_t wbSeq = 0;
+        /** Reply to transaction seq (valid unless none was sent yet
+         *  or it was scrubbed). */
+        CachedReply reply;
     };
+    // Fault-campaign peak memory: one record per <line, requester>
+    // that ever transacted under faults. A new field must be a
+    // conscious layout change.
+    static_assert(sizeof(ServedTxn) <= 56, "ServedTxn must stay <= 56 B");
     FlatMap<std::pair<Addr, NodeId>, ServedTxn> served_;
     /** Cached cfg().faults.enabled(). */
     bool faultsOn_ = false;

@@ -67,20 +67,31 @@ enum class FwdKind : std::uint8_t
 
 struct Message
 {
-    MsgType type = MsgType::ReadReq;
+    // Members are ordered to pack into 64 B (8-byte fields, then
+    // 4-byte, then 1-byte): every queued request in a directory entry
+    // and every in-flight message in the pool is one Message.
     Addr lineAddr = kInvalidAddr;
+    /** Functional data version carried by data-bearing messages. */
+    Version version = 0;
+    /** CIM: records to scan / matches returned. */
+    std::uint64_t cimCount = 0;
+    /**
+     * Requester-local transaction sequence number, used to dedup
+     * retried requests at the home and stale/duplicate replies at the
+     * MSHR. Zero (unset) when fault injection is disabled.
+     */
+    std::uint64_t txnSeq = 0;
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
     /** Original requester for forwarded flows and inval acks. */
     NodeId requester = kInvalidNode;
-    /** Functional data version carried by data-bearing messages. */
-    Version version = 0;
     /** Invalidation acks the requester must collect (replies). */
     int ackCount = 0;
-    /** Fwd subtype. */
-    FwdKind fwdKind = FwdKind::Read;
     /** Network hops this transaction has made so far (for Fig 7). */
     int legs = 0;
+    MsgType type = MsgType::ReadReq;
+    /** Fwd subtype. */
+    FwdKind fwdKind = FwdKind::Read;
     /** ReadReply: the home handed mastership to the requester. */
     bool grantsMaster = false;
     /**
@@ -93,15 +104,6 @@ struct Message
     bool needsTxnDone = false;
     /** WriteBack: line was SharedMaster (clean) rather than Dirty. */
     bool masterClean = false;
-    /** CIM: records to scan / matches returned. */
-    std::uint64_t cimCount = 0;
-    /**
-     * Requester-local transaction sequence number, used to dedup
-     * retried requests at the home and stale/duplicate replies at the
-     * MSHR. Zero (unset) when fault injection is disabled.
-     */
-    std::uint64_t txnSeq = 0;
-
     /**
      * This request is a timeout-driven resend of one still stalled at
      * the requester. Only a marked retry may be re-served when its
@@ -116,6 +118,10 @@ struct Message
 
     std::string toString() const;
 };
+
+// Fault-campaign peak memory: directory queues and the message pool
+// hold Messages; a new field must be a conscious layout change.
+static_assert(sizeof(Message) == 64, "Message must stay 64 B");
 
 } // namespace pimdsm
 

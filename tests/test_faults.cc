@@ -9,6 +9,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "machine/machine.hh"
 #include "machine/reconfig.hh"
@@ -164,6 +165,76 @@ TEST(FaultInjection, DroppedReadReplyIsRetriedAndCompletes)
     auto t2 = doAccess(m, 1, kLine, true);
     EXPECT_TRUE(t2.done);
     m.checkInvariants();
+}
+
+/** Every field but legs and src (rewritten on every send). */
+void
+expectSameReply(const Message &a, const Message &b)
+{
+    EXPECT_EQ(a.lineAddr, b.lineAddr);
+    EXPECT_EQ(a.version, b.version);
+    EXPECT_EQ(a.cimCount, b.cimCount);
+    EXPECT_EQ(a.txnSeq, b.txnSeq);
+    EXPECT_EQ(a.dst, b.dst);
+    EXPECT_EQ(a.requester, b.requester);
+    EXPECT_EQ(a.ackCount, b.ackCount);
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.fwdKind, b.fwdKind);
+    EXPECT_EQ(a.grantsMaster, b.grantsMaster);
+    EXPECT_EQ(a.needsTxnDone, b.needsTxnDone);
+    EXPECT_EQ(a.masterClean, b.masterClean);
+    EXPECT_EQ(a.isRetry, b.isRetry);
+}
+
+TEST(FaultInjection, ReplayedReplyMatchesTheDroppedOriginal)
+{
+    // The home caches a granting reply in a compact record and
+    // rebuilds the Message on replay; the rebuilt reply must be the
+    // dropped one. Each scenario drops the home's last grant (the
+    // dropNth-th reply on the mesh) and captures every home grant.
+    auto scenario = [](int p, std::uint64_t drop_nth,
+                       auto &&accesses) -> std::vector<Message> {
+        MachineConfig cfg = smallCfg(ArchKind::Agg, p, 1);
+        cfg.faults.rates[static_cast<int>(MsgClass::Reply)].dropNth =
+            drop_nth;
+        cfg.faults.timeoutTicks = 5000;
+        cfg.faults.sweepInterval = 500;
+        Machine m(cfg);
+        std::vector<Message> grants;
+        m.setSendInterceptor([&grants](const Message &msg) {
+            if (msgClassOf(msg.type) == MsgClass::Reply)
+                grants.push_back(msg);
+            return false; // observe only: the mesh still carries it
+        });
+        accesses(m);
+        EXPECT_EQ(m.stats().get("fault.net.drop"), 1.0);
+        EXPECT_EQ(m.stats().get("home.reply_replayed"), 1.0);
+        m.checkInvariants();
+        return grants;
+    };
+
+    // AGG cold read: the first reader is granted mastership.
+    const std::vector<Message> read = scenario(2, 1, [](Machine &m) {
+        doAccess(m, 0, kLine, false);
+    });
+    ASSERT_EQ(read.size(), 2u);
+    EXPECT_EQ(read[0].type, MsgType::ReadReply);
+    EXPECT_TRUE(read[0].grantsMaster);
+    EXPECT_NE(read[0].txnSeq, 0u);
+    expectSameReply(read[0], read[1]);
+
+    // Write to a line two other nodes share: the grant carries the
+    // invalidation count the requester must collect.
+    const std::vector<Message> write = scenario(3, 3, [](Machine &m) {
+        doAccess(m, 0, kLine, false);
+        doAccess(m, 1, kLine, false);
+        doAccess(m, 2, kLine, true);
+    });
+    ASSERT_EQ(write.size(), 4u);
+    EXPECT_EQ(write[2].type, MsgType::ReadExReply);
+    EXPECT_EQ(write[2].ackCount, 2);
+    EXPECT_TRUE(write[2].needsTxnDone);
+    expectSameReply(write[2], write[3]);
 }
 
 TEST(FaultInjection, DroppedRequestIsRetriedAndCompletes)

@@ -276,6 +276,48 @@ TEST(Fifo, InterleavedPushPopMatchesDeque)
     EXPECT_TRUE(std::equal(q.begin(), q.end(), ref.begin(), ref.end()));
 }
 
+TEST(Fifo, OwningElementsSurviveGrowthCompactionAndCopies)
+{
+    // Heap-owning elements: a slot moved without its destructor, or
+    // destroyed twice, shows up under the sanitizer build.
+    static_assert(sizeof(Fifo<std::string>) == sizeof(void *));
+    Fifo<std::string> q;
+    EXPECT_EQ(q.begin(), q.end());
+    std::deque<std::string> ref;
+    Rng rng(5);
+    for (int i = 0; i < 5000; ++i) {
+        const bool push_heavy = (i / 500) % 2 == 0;
+        if (ref.empty() || rng.nextBounded(4) < (push_heavy ? 3u : 1u)) {
+            const std::string v(40, static_cast<char>('a' + i % 26));
+            q.push_back(v);
+            ref.push_back(v);
+        } else {
+            ASSERT_EQ(q.front(), ref.front());
+            q.pop_front();
+            ref.pop_front();
+        }
+        if (i % 97 == 0 && !ref.empty()) {
+            // Pushing the queue's own front must survive a regrow.
+            q.push_back(q.front());
+            ref.push_back(ref.front());
+        }
+        ASSERT_EQ(q.size(), ref.size());
+    }
+    ASSERT_TRUE(std::equal(q.begin(), q.end(), ref.begin(), ref.end()));
+
+    const Fifo<std::string> copy(q);
+    EXPECT_TRUE(std::equal(copy.begin(), copy.end(), ref.begin(),
+                           ref.end()));
+    Fifo<std::string> assigned;
+    assigned.push_back("replaced");
+    assigned = copy;
+    EXPECT_TRUE(std::equal(assigned.begin(), assigned.end(), ref.begin(),
+                           ref.end()));
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(copy.size(), ref.size()); // copies own their elements
+}
+
 // ---------------------------------------------------------------------
 // FlatMap.
 // ---------------------------------------------------------------------
