@@ -14,30 +14,10 @@
  *     protocol processor" question of Section 2.2.1).
  */
 
-#include <functional>
-
 #include "bench_util.hh"
 
 using namespace pimdsm;
 using namespace pimdsm::bench;
-
-namespace
-{
-
-RunResult
-runCfg(const Workload &wl, int threads,
-       const std::function<void(MachineConfig &)> &tweak)
-{
-    BuildSpec spec;
-    spec.arch = ArchKind::Agg;
-    spec.threads = threads;
-    spec.pressure = 0.75;
-    MachineConfig cfg = buildConfig(wl, spec);
-    tweak(cfg);
-    return runWorkload(cfg, wl);
-}
-
-} // namespace
 
 int
 main()
@@ -47,14 +27,44 @@ main()
     banner("Ablations of the AGG design choices",
            "each row isolates one mechanism the paper argues for");
 
+    // Every ablation row is one independent point on runPoints()'s
+    // pool: the AGG75 machine for its app with one field changed.
+    auto barnes = makeWorkload("barnes");
+    auto ocean = makeWorkload("ocean");
+    auto radix = makeWorkload("radix");
+    auto agg75 = [threads](const Workload &wl) {
+        BuildSpec spec;
+        spec.arch = ArchKind::Agg;
+        spec.threads = threads;
+        spec.pressure = 0.75;
+        return ExperimentPoint{&wl, buildConfig(wl, spec), {}};
+    };
+
+    std::vector<ExperimentPoint> points;
+    // 0: barnes as built: mastership handout on, full bit map.
+    points.push_back(agg75(*barnes));
+    // 1: barnes without mastership handout.
+    points.push_back(agg75(*barnes));
+    points.back().cfg.aggGrantsMastership = false;
+    // 2: barnes with the paper's 3-pointer limited directory.
+    points.push_back(agg75(*barnes));
+    points.back().cfg.directoryPointers = 3;
+    // 3, 4: ocean with pseudo-random and strict LRU replacement.
+    points.push_back(agg75(*ocean));
+    points.push_back(agg75(*ocean));
+    points.back().cfg.mem.lruLocalMemory = true;
+    // 5..8: radix over the software handler cost factors.
+    const double factors[] = {0.7, 1.0, 1.5, 2.0};
+    for (double f : factors) {
+        points.push_back(agg75(*radix));
+        points.back().cfg.handlers.softwareFactor = f;
+    }
+    const std::vector<RunResult> results = runPoints(points);
+
     // ------------------------------------------------------ 1. master
     {
-        auto wl = makeWorkload("barnes");
-        const RunResult on =
-            runCfg(*wl, threads, [](MachineConfig &) {});
-        const RunResult off = runCfg(*wl, threads, [](MachineConfig &c) {
-            c.aggGrantsMastership = false;
-        });
+        const RunResult &on = results[0];
+        const RunResult &off = results[1];
         TablePrinter t({"shared-master state", "Mcycles", "page-ins",
                         "SharedList reuses", "3-hop reads"});
         auto row = [&](const char *label, const RunResult &r) {
@@ -79,13 +89,8 @@ main()
 
     // --------------------------------------------------- 2. directory
     {
-        auto wl = makeWorkload("barnes");
-        const RunResult full =
-            runCfg(*wl, threads, [](MachineConfig &) {});
-        const RunResult limited =
-            runCfg(*wl, threads, [](MachineConfig &c) {
-                c.directoryPointers = 3;
-            });
+        const RunResult &full = results[0];
+        const RunResult &limited = results[2];
         TablePrinter t({"directory scheme", "Mcycles",
                         "invals sent", "broadcasts"});
         auto invals = [](const RunResult &r) {
@@ -109,12 +114,8 @@ main()
 
     // ------------------------------------------------- 3. replacement
     {
-        auto wl = makeWorkload("ocean");
-        const RunResult rnd =
-            runCfg(*wl, threads, [](MachineConfig &) {});
-        const RunResult lru = runCfg(*wl, threads, [](MachineConfig &c) {
-            c.mem.lruLocalMemory = true;
-        });
+        const RunResult &rnd = results[3];
+        const RunResult &lru = results[4];
         TablePrinter t({"local-memory replacement", "Mcycles",
                         "local-mem reads", "remote reads"});
         auto classes = [](const RunResult &r) {
@@ -141,15 +142,12 @@ main()
 
     // ----------------------------------------------- 4. handler costs
     {
-        auto wl = makeWorkload("radix");
         TablePrinter t({"software handler cost", "Mcycles",
                         "vs Table 2"});
         double base = 0;
-        for (double f : {0.7, 1.0, 1.5, 2.0}) {
-            const RunResult r =
-                runCfg(*wl, threads, [f](MachineConfig &c) {
-                    c.handlers.softwareFactor = f;
-                });
+        for (std::size_t i = 0; i < std::size(factors); ++i) {
+            const double f = factors[i];
+            const RunResult &r = results[5 + i];
             if (f == 1.0)
                 base = static_cast<double>(r.totalTicks);
             t.addRow({TablePrinter::num(f, 1) + "x",

@@ -4,6 +4,10 @@
  * phase runs best with many D-nodes (16&16), the join phase with many
  * P-nodes (28&4); dynamic reconfiguration between the phases captures
  * both at the cost of the modeled Reconf overhead.
+ *
+ * The static, dynamic and auto machines are independent, so they run
+ * on runPoints()'s worker pool; the report is identical to a serial
+ * run.
  */
 
 #include "bench_util.hh"
@@ -14,9 +18,8 @@ using namespace pimdsm::bench;
 namespace
 {
 
-RunResult
-runConfig(const Workload &wl, int p, int d, int fat_d,
-          const RunOptions &opts)
+ExperimentPoint
+point(const Workload &wl, int p, int d, int fat_d, RunOptions opts)
 {
     BuildSpec spec;
     spec.arch = ArchKind::Agg;
@@ -33,7 +36,7 @@ runConfig(const Workload &wl, int p, int d, int fat_d,
         static_cast<std::uint64_t>(wl.footprintBytes() / 0.75) / 2;
     cfg.dNodeMemBytes =
         ceilDiv(total_d / fat_d, cfg.pageBytes) * cfg.pageBytes;
-    return runWorkload(cfg, wl, opts);
+    return {&wl, cfg, std::move(opts)};
 }
 
 } // namespace
@@ -53,24 +56,25 @@ main()
     DbaseWorkload wl(1, false);
 
     const int fat_d = total - join_p;
-    const RunResult static_hash =
-        runConfig(wl, hash_p, total - hash_p, fat_d, {});
-    const RunResult static_join =
-        runConfig(wl, join_p, total - join_p, fat_d, {});
-
     RunOptions dyn_opts;
     // Dbase phases: 0 init, 1 hash, 2 join. Reconfigure before join.
     dyn_opts.reconfig.push_back(
         ReconfigStep{2, join_p, total - join_p});
-    const RunResult dynamic =
-        runConfig(wl, hash_p, total - hash_p, fat_d, dyn_opts);
-
     // Extension: the OS-initiated policy that resizes on observed
     // D-node utilization instead of an explicit plan (Section 2.3).
     RunOptions auto_opts;
     auto_opts.autoReconfig = true;
-    const RunResult autodyn =
-        runConfig(wl, hash_p, total - hash_p, fat_d, auto_opts);
+
+    const std::vector<RunResult> results = runPoints({
+        point(wl, hash_p, total - hash_p, fat_d, {}),
+        point(wl, join_p, total - join_p, fat_d, {}),
+        point(wl, hash_p, total - hash_p, fat_d, dyn_opts),
+        point(wl, hash_p, total - hash_p, fat_d, auto_opts),
+    });
+    const RunResult &static_hash = results[0];
+    const RunResult &static_join = results[1];
+    const RunResult &dynamic = results[2];
+    const RunResult &autodyn = results[3];
 
     const double base = static_cast<double>(static_hash.totalTicks);
     auto bar = [&](const std::string &label, const RunResult &r,

@@ -30,24 +30,31 @@ main()
     DbaseWorkload plain(1, false);
     DbaseWorkload opt(1, true);
 
-    TablePrinter t({"config", "Plain Mcycles", "Opt Mcycles",
-                    "Opt / Plain", "reduction"});
-    std::vector<Bar> bars;
-
+    // Each combo contributes a Plain and an Opt point; all of them run
+    // on runPoints()'s pool.
+    std::vector<ExperimentPoint> points;
     for (const auto &combo : combos) {
         BuildSpec spec;
         spec.arch = ArchKind::Agg;
         spec.threads = combo.p;
         spec.dNodes = combo.d;
         spec.pressure = 0.75;
+        points.push_back({&plain, buildConfig(plain, spec), {}});
+        points.push_back({&opt, buildConfig(opt, spec), {}});
+    }
+    const std::vector<RunResult> results = runPoints(points);
 
-        const RunResult rp = runWorkload(plain, spec);
-        const RunResult ro = runWorkload(opt, spec);
+    TablePrinter t({"config", "Plain Mcycles", "Opt Mcycles",
+                    "Opt / Plain", "reduction"});
+    std::vector<Bar> bars;
+    for (std::size_t c = 0; c < combos.size(); ++c) {
+        const RunResult &rp = results[2 * c];
+        const RunResult &ro = results[2 * c + 1];
         const double ratio =
             ro.totalTicks / static_cast<double>(rp.totalTicks);
 
-        const std::string label = std::to_string(combo.p) + "&" +
-                                  std::to_string(combo.d);
+        const std::string label = std::to_string(combos[c].p) + "&" +
+                                  std::to_string(combos[c].d);
         t.addRow({label, TablePrinter::num(rp.totalTicks / 1e6),
                   TablePrinter::num(ro.totalTicks / 1e6),
                   TablePrinter::num(ratio),

@@ -62,10 +62,10 @@ main()
     for (const auto &mc : kMachines) {
         for (std::size_t a = 0; a < apps.size(); ++a) {
             const int ratio = mc.reducedD ? reducedDRatio(apps[a]) : 1;
-            points.push_back(
-                {wls[a].get(),
-                 benchSpec(mc.arch, threads, mc.pressure, ratio),
-                 {}});
+            points.push_back({wls[a].get(),
+                              benchConfig(*wls[a], mc.arch, threads,
+                                          mc.pressure, ratio),
+                              {}});
         }
     }
     const std::vector<RunResult> results = runPoints(points);

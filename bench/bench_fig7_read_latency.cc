@@ -66,7 +66,8 @@ main()
         for (std::size_t a = 0; a < apps.size(); ++a) {
             const int ratio = mc.reducedD ? reducedDRatio(apps[a]) : 1;
             points.push_back({wls[a].get(),
-                              benchSpec(mc.arch, threads, 0.75, ratio),
+                              benchConfig(*wls[a], mc.arch, threads,
+                                          0.75, ratio),
                               {}});
         }
     }

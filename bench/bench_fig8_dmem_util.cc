@@ -48,8 +48,9 @@ main()
     for (double pressure : kPressures) {
         for (std::size_t a = 0; a < apps.size(); ++a) {
             points.push_back({wls[a].get(),
-                              benchSpec(ArchKind::Agg, threads, pressure,
-                                        reducedDRatio(apps[a])),
+                              benchConfig(*wls[a], ArchKind::Agg,
+                                          threads, pressure,
+                                          reducedDRatio(apps[a])),
                               {}});
         }
     }

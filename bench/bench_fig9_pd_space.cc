@@ -4,7 +4,13 @@
  * per application, holding the problem size and the total D-node
  * memory fixed as nodes are added (AGG at 75% pressure, normalized to
  * the 2P & 2D configuration).
+ *
+ * Every (P, D) point and each app's reference are independent, so they
+ * run on runPoints()'s worker pool; each app's row is normalized once
+ * the pool drains, and the report is identical to a serial sweep.
  */
+
+#include <memory>
 
 #include "bench_util.hh"
 
@@ -26,9 +32,18 @@ main()
         quick ? std::vector<int>{1, 2, 4} :
                 std::vector<int>{1, 2, 4, 8, 16};
 
-    for (const auto &app : benchApps()) {
-        auto wl = makeWorkload(app);
+    const std::vector<std::string> apps = benchApps();
+    std::vector<std::unique_ptr<Workload>> wls;
+    for (const auto &app : apps)
+        wls.push_back(makeWorkload(app));
 
+    // Each app submits its reference point, then its grid D-major:
+    // the 16-P-node machines, the largest, are then spread through the
+    // queue instead of four running at once, which lowers peak memory
+    // and the tail of the sweep.
+    const std::size_t per_app = 1 + p_counts.size() * d_counts.size();
+    std::vector<ExperimentPoint> points;
+    for (const auto &wl : wls) {
         // Reference configuration: 2 P-nodes, 2 D-nodes, AGG75. Its
         // per-P-node memory and total D memory stay fixed across the
         // design space (Section 4.2).
@@ -40,20 +55,10 @@ main()
         const MachineConfig ref_cfg = buildConfig(*wl, ref);
         const std::uint64_t p_mem = ref_cfg.pNodeMemBytes;
         const std::uint64_t total_d_mem = 2 * ref_cfg.dNodeMemBytes;
+        points.push_back({wl.get(), ref_cfg, {}});
 
-        const double base = static_cast<double>(
-            runWorkload(ref_cfg, *wl).totalTicks);
-
-        std::vector<std::string> headers = {"P \\ D"};
-        for (int d : d_counts)
-            headers.push_back(std::to_string(d) + "D");
-        TablePrinter t(std::move(headers));
-
-        double best = 1e30, best_ce = 1e30;
-        int best_p = 0, best_d = 0, ce_p = 0, ce_d = 0;
-        for (int p : p_counts) {
-            std::vector<std::string> row = {std::to_string(p) + "P"};
-            for (int d : d_counts) {
+        for (int d : d_counts) {
+            for (int p : p_counts) {
                 BuildSpec spec = ref;
                 spec.threads = p;
                 spec.dNodes = d;
@@ -62,7 +67,33 @@ main()
                 cfg.dNodeMemBytes =
                     ceilDiv(total_d_mem / d, cfg.pageBytes) *
                     cfg.pageBytes;
-                const RunResult r = runWorkload(cfg, *wl);
+                points.push_back({wl.get(), cfg, {}});
+            }
+        }
+    }
+    const std::vector<RunResult> results = runPoints(points);
+    // Point i of app a; i = 0 is the reference.
+    auto result = [&](std::size_t a, std::size_t i) -> const RunResult & {
+        return results[a * per_app + i];
+    };
+
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const double base = static_cast<double>(result(a, 0).totalTicks);
+
+        std::vector<std::string> headers = {"P \\ D"};
+        for (int d : d_counts)
+            headers.push_back(std::to_string(d) + "D");
+        TablePrinter t(std::move(headers));
+
+        double best = 1e30, best_ce = 1e30;
+        int best_p = 0, best_d = 0, ce_p = 0, ce_d = 0;
+        for (std::size_t pi = 0; pi < p_counts.size(); ++pi) {
+            const int p = p_counts[pi];
+            std::vector<std::string> row = {std::to_string(p) + "P"};
+            for (std::size_t di = 0; di < d_counts.size(); ++di) {
+                const int d = d_counts[di];
+                const RunResult &r =
+                    result(a, 1 + di * p_counts.size() + pi);
                 const double norm = r.totalTicks / base;
                 row.push_back(TablePrinter::num(norm));
                 if (r.totalTicks < best) {
@@ -81,7 +112,7 @@ main()
             }
             t.addRow(std::move(row));
         }
-        std::cout << "Fig 9 — " << app
+        std::cout << "Fig 9 — " << apps[a]
                   << " (execution time / 2P&2D time; lower is "
                      "better)\n";
         t.print(std::cout);

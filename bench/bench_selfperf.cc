@@ -18,7 +18,7 @@
  * between workloads via /proc/self/clear_refs, so rows are
  * independent; on kernels without clear_refs the value degrades to the
  * monotone process-wide peak). Emits BENCH_selfperf.json for CI trend
- * tracking (see .github/workflows/perf.yml) and tools/benchsweep.
+ * tracking (see .github/workflows/perf.yml).
  *
  * Usage: bench_selfperf [--quick] [--kernel=calendar|heap]
  *                       [--baseline PATH] [--drift F]
@@ -205,8 +205,10 @@ runFig6Point()
 {
     resetPeakRss();
     auto wl = makeWorkload("fft", 1);
-    const RunResult r = run(*wl, ArchKind::Agg, paperThreads(), 0.25,
-                            reducedDRatio("fft"));
+    const RunResult r =
+        runWorkload(benchConfig(*wl, ArchKind::Agg, paperThreads(), 0.25,
+                                reducedDRatio("fft")),
+                    *wl);
 
     SelfPerfRow row;
     row.name = "fig6";

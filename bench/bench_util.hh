@@ -57,22 +57,17 @@ struct NamedRun
     RunResult result;
 };
 
-inline BuildSpec
-benchSpec(ArchKind arch, int threads, double pressure, int d_ratio = 1)
+/** The finished config of one bench machine running @p wl. */
+inline MachineConfig
+benchConfig(const Workload &wl, ArchKind arch, int threads,
+            double pressure, int d_ratio = 1)
 {
     BuildSpec spec;
     spec.arch = arch;
     spec.threads = threads;
     spec.pressure = pressure;
     spec.dRatio = d_ratio;
-    return spec;
-}
-
-inline RunResult
-run(const Workload &wl, ArchKind arch, int threads, double pressure,
-    int d_ratio = 1)
-{
-    return runWorkload(wl, benchSpec(arch, threads, pressure, d_ratio));
+    return buildConfig(wl, spec);
 }
 
 /** Memory/Processor split of @p r scaled to its normalized total. */

@@ -34,8 +34,8 @@ main(int argc, char **argv)
 
     DbaseWorkload plain(1, false);
     DbaseWorkload opt(1, true);
-    const RunResult rp = runWorkload(plain, spec);
-    const RunResult ro = runWorkload(opt, spec);
+    const RunResult rp = runWorkload(buildConfig(plain, spec), plain);
+    const RunResult ro = runWorkload(buildConfig(opt, spec), opt);
 
     TablePrinter t({"phase", "Plain Mcycles", "Opt Mcycles",
                     "speedup"});

@@ -32,7 +32,7 @@ runPartition(const Workload &wl, int p, int d, double pressure)
     spec.threads = p;
     spec.dNodes = d;
     spec.pressure = pressure;
-    return runWorkload(wl, spec);
+    return runWorkload(buildConfig(wl, spec), wl);
 }
 
 } // namespace

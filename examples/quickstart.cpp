@@ -43,7 +43,7 @@ main(int argc, char **argv)
         spec.threads = threads;
         spec.pressure = pressure;
         spec.dRatio = dratio;
-        const RunResult r = runWorkload(*wl, spec);
+        const RunResult r = runWorkload(buildConfig(*wl, spec), *wl);
 
         const auto &c = r.reads.count;
         const double total_reads =

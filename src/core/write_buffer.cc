@@ -26,12 +26,15 @@ WriteBuffer::push(Addr addr)
     if (full())
         panic("push into a full write buffer");
     const Addr line = addr & lineMask_;
-    if (queuedLines_.count(line)) {
-        ++coalesced_;
-        return;
+    // queued_ holds at most capacity_ stores, so a linear scan is
+    // cheap and, unlike a hash set, allocates nothing per store.
+    for (const Addr queued : queued_) {
+        if ((queued & lineMask_) == line) {
+            ++coalesced_;
+            return;
+        }
     }
     queued_.push_back(addr);
-    queuedLines_.insert(line);
     drain();
 }
 
@@ -41,7 +44,6 @@ WriteBuffer::drain()
     while (inflight_ < maxInflight_ && !queued_.empty()) {
         const Addr addr = queued_.front();
         queued_.pop_front();
-        queuedLines_.erase(addr & lineMask_);
         ++inflight_;
         port_.access(addr, true,
                      [this](Tick, ReadService) { onStoreDone(); });

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_set>
 
 #include "proto/compute_base.hh"
 #include "sim/config.hh"
@@ -51,8 +50,8 @@ class WriteBuffer
     ComputeBase &port_;
     int capacity_;
     int maxInflight_;
+    /** At most capacity_ entries, no two on the same line. */
     std::deque<Addr> queued_;
-    std::unordered_set<Addr> queuedLines_;
     int inflight_ = 0;
     std::function<void()> spaceCb_;
     std::function<void()> flushCb_;

@@ -29,13 +29,6 @@ buildConfig(const Workload &wl, const BuildSpec &spec)
 
     applyMemoryPressure(cfg, wl.footprintBytes(), spec.pressure);
 
-    if (spec.fixedTotalDMemBytes && spec.arch == ArchKind::Agg) {
-        const std::uint64_t per =
-            spec.fixedTotalDMemBytes / cfg.numDNodes;
-        cfg.dNodeMemBytes =
-            ceilDiv(per, cfg.pageBytes) * cfg.pageBytes;
-    }
-
     fitMesh(cfg.net, cfg.totalNodes());
     cfg.validate();
     return cfg;

@@ -30,12 +30,6 @@ struct BuildSpec
     int dNodes = 0;
     /** Build dual-role nodes for dynamic reconfiguration. */
     bool reconfigurable = false;
-    /**
-     * Keep total D-node memory at footprint/(2*pressure) regardless of
-     * thread count (Figure 9 holds total D-memory fixed as nodes are
-     * added). 0 disables; otherwise the fixed total in bytes.
-     */
-    std::uint64_t fixedTotalDMemBytes = 0;
 };
 
 /** Build a validated MachineConfig for @p wl under @p spec. */

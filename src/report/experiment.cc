@@ -350,13 +350,6 @@ runWorkload(MachineConfig cfg, const Workload &wl, const RunOptions &opts)
     return result;
 }
 
-RunResult
-runWorkload(const Workload &wl, const BuildSpec &spec,
-            const RunOptions &opts)
-{
-    return runWorkload(buildConfig(wl, spec), wl, opts);
-}
-
 namespace
 {
 
@@ -397,7 +390,7 @@ runPoints(const std::vector<ExperimentPoint> &points, int max_workers)
                 return;
             const ExperimentPoint &p = points[i];
             try {
-                results[i] = runWorkload(*p.workload, p.spec, p.opts);
+                results[i] = runWorkload(p.cfg, *p.workload, p.opts);
             } catch (...) {
                 errors[i] = std::current_exception();
                 failed.store(true, std::memory_order_relaxed);

@@ -95,22 +95,19 @@ struct RunResult
 RunResult runWorkload(MachineConfig cfg, const Workload &wl,
                       const RunOptions &opts = {});
 
-/** Build-and-run convenience used by the benches. */
-RunResult runWorkload(const Workload &wl, const BuildSpec &spec,
-                      const RunOptions &opts = {});
-
 /** One independent experiment for runPoints(). */
 struct ExperimentPoint
 {
     /** Shared read-only between points; must outlive runPoints(). */
     const Workload *workload = nullptr;
-    BuildSpec spec;
+    /** The finished machine: buildConfig() plus any caller overrides. */
+    MachineConfig cfg;
     RunOptions opts;
 };
 
 /**
  * Run independent points on a worker pool; result i is exactly what
- * runWorkload(*points[i].workload, points[i].spec, points[i].opts)
+ * runWorkload(points[i].cfg, *points[i].workload, points[i].opts)
  * returns serially. Each point builds its own Machine, so points share
  * no simulation state.
  *

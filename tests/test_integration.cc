@@ -37,7 +37,7 @@ TEST_P(EveryAppEveryArch, RunsToCompletionCoherently)
     RunOptions opts;
     opts.checkInvariants = true;
 
-    const RunResult r = runWorkload(*wl, spec, opts);
+    const RunResult r = runWorkload(buildConfig(*wl, spec), *wl, opts);
     EXPECT_GT(r.totalTicks, 0u);
     EXPECT_GT(r.instructions, 0u);
     EXPECT_GT(r.time.busy, 0u);
@@ -77,11 +77,11 @@ TEST(Trends, AggAndComaBeatNumaOnSharingHeavyWorkload)
     spec.pressure = 0.25;
 
     spec.arch = ArchKind::Numa;
-    const auto numa = runWorkload(*wl, spec);
+    const auto numa = runWorkload(buildConfig(*wl, spec), *wl);
     spec.arch = ArchKind::Agg;
-    const auto agg = runWorkload(*wl, spec);
+    const auto agg = runWorkload(buildConfig(*wl, spec), *wl);
     spec.arch = ArchKind::Coma;
-    const auto coma = runWorkload(*wl, spec);
+    const auto coma = runWorkload(buildConfig(*wl, spec), *wl);
 
     EXPECT_LT(agg.totalTicks, numa.totalTicks);
     EXPECT_LT(coma.totalTicks, numa.totalTicks);
@@ -108,9 +108,9 @@ TEST(Trends, FewerDNodesOnlyModestlySlower)
     spec.pressure = 0.25;
 
     spec.dRatio = 1;
-    const auto full = runWorkload(*wl, spec);
+    const auto full = runWorkload(buildConfig(*wl, spec), *wl);
     spec.dRatio = 4;
-    const auto quarter = runWorkload(*wl, spec);
+    const auto quarter = runWorkload(buildConfig(*wl, spec), *wl);
 
     EXPECT_GE(quarter.totalTicks, full.totalTicks * 95 / 100);
     // The paper reports ~12% on 32-thread machines; our scaled runs
@@ -127,9 +127,9 @@ TEST(Trends, LowerPressureLeavesDMemoryUnused)
     spec.threads = 4;
 
     spec.pressure = 0.25;
-    const auto low = runWorkload(*wl, spec);
+    const auto low = runWorkload(buildConfig(*wl, spec), *wl);
     spec.pressure = 0.75;
-    const auto high = runWorkload(*wl, spec);
+    const auto high = runWorkload(buildConfig(*wl, spec), *wl);
 
     const auto unused = [](const RunResult &r) {
         const auto cap = r.census.dNodeCapacityLines;
@@ -148,8 +148,9 @@ TEST(Trends, DbaseCimOffloadHelpsOnAgg)
     spec.threads = 4;
     spec.pressure = 0.75;
 
-    const auto t_plain = runWorkload(plain, spec).totalTicks;
-    const auto t_cim = runWorkload(cim, spec).totalTicks;
+    const auto t_plain =
+        runWorkload(buildConfig(plain, spec), plain).totalTicks;
+    const auto t_cim = runWorkload(buildConfig(cim, spec), cim).totalTicks;
     EXPECT_LT(t_cim, t_plain);
 }
 
@@ -168,7 +169,7 @@ TEST(Runner, DynamicReconfigurationMidRun)
     // Hash phase on 4P&4D, join phase on 6P&2D.
     opts.reconfig.push_back(ReconfigStep{2, 6, 2});
 
-    const auto r = runWorkload(wl, spec, opts);
+    const auto r = runWorkload(buildConfig(wl, spec), wl, opts);
     EXPECT_GT(r.reconfigTicks, 0u);
     EXPECT_EQ(r.phases.size(), 3u);
 }

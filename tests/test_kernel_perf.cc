@@ -383,7 +383,7 @@ runFig6Point(EventQueue::KernelKind kind)
     spec.threads = 8;
     spec.pressure = 0.25;
     spec.dRatio = 2;
-    RunResult r = runWorkload(*wl, spec);
+    RunResult r = runWorkload(buildConfig(*wl, spec), *wl);
     EventQueue::setDefaultKind(EventQueue::KernelKind::Calendar);
     return r;
 }

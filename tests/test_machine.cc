@@ -163,18 +163,5 @@ TEST(BuilderTest, EqualBisectionBandwidthSetup)
                 cfg_n.totalDramBytes() * 0.05);
 }
 
-TEST(BuilderTest, FixedTotalDMemoryOverride)
-{
-    FftWorkload wl(1);
-    BuildSpec spec;
-    spec.arch = ArchKind::Agg;
-    spec.threads = 8;
-    spec.dNodes = 2;
-    spec.fixedTotalDMemBytes = 8ull << 20;
-    const auto cfg = buildConfig(wl, spec);
-    EXPECT_NEAR(static_cast<double>(cfg.dNodeMemBytes), 4.0 * (1 << 20),
-                4096.0);
-}
-
 } // namespace
 } // namespace pimdsm

@@ -159,7 +159,7 @@ TEST(Reconfig, AutoPolicyResizesOnUtilization)
     RunOptions opts;
     opts.autoReconfig = true;
     opts.checkInvariants = true;
-    const RunResult r = runWorkload(*wl, spec, opts);
+    const RunResult r = runWorkload(buildConfig(*wl, spec), *wl, opts);
     EXPECT_GT(r.totalTicks, 0u);
     EXPECT_GE(r.autoReconfigs, 1);
     EXPECT_GT(r.reconfigTicks, 0u);
@@ -176,7 +176,7 @@ TEST(Reconfig, AutoPolicyIgnoredWhenNotReconfigurable)
 
     RunOptions opts;
     opts.autoReconfig = true;
-    const RunResult r = runWorkload(*wl, spec, opts);
+    const RunResult r = runWorkload(buildConfig(*wl, spec), *wl, opts);
     EXPECT_EQ(r.autoReconfigs, 0);
     EXPECT_EQ(r.reconfigTicks, 0u);
 }

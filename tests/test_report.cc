@@ -79,7 +79,7 @@ TEST(ExperimentRunner, AggregatesAreConsistent)
     spec.arch = ArchKind::Agg;
     spec.threads = 4;
     spec.pressure = 0.5;
-    const RunResult r = runWorkload(*wl, spec);
+    const RunResult r = runWorkload(buildConfig(*wl, spec), *wl);
 
     // Phase windows tile the run.
     Tick prev_end = 0;
@@ -109,8 +109,8 @@ TEST(ExperimentRunner, DeterministicAcrossRuns)
     spec.arch = ArchKind::Coma;
     spec.threads = 4;
     spec.pressure = 0.5;
-    const RunResult a = runWorkload(*wl, spec);
-    const RunResult b = runWorkload(*wl, spec);
+    const RunResult a = runWorkload(buildConfig(*wl, spec), *wl);
+    const RunResult b = runWorkload(buildConfig(*wl, spec), *wl);
     EXPECT_EQ(a.totalTicks, b.totalTicks);
     EXPECT_EQ(a.messages, b.messages);
     EXPECT_EQ(a.instructions, b.instructions);
@@ -137,28 +137,34 @@ expectSameResult(const RunResult &a, const RunResult &b)
 ExperimentPoint
 point(const Workload &wl, ArchKind arch, double pressure, int d_ratio)
 {
-    ExperimentPoint p;
-    p.workload = &wl;
-    p.spec.arch = arch;
-    p.spec.threads = 8; // the quick-sweep size
-    p.spec.pressure = pressure;
-    p.spec.dRatio = d_ratio;
-    return p;
+    BuildSpec spec;
+    spec.arch = arch;
+    spec.threads = 8; // the quick-sweep size
+    spec.pressure = pressure;
+    spec.dRatio = d_ratio;
+    return {&wl, buildConfig(wl, spec), {}};
 }
 
 TEST(RunPoints, MatchesSerialRunsInSubmissionOrder)
 {
     auto fft = makeWorkload("fft");
     auto dbase = makeWorkload("dbase");
-    const std::vector<ExperimentPoint> points = {
+    std::vector<ExperimentPoint> points = {
         point(*fft, ArchKind::Numa, 0.75, 1),
         point(*dbase, ArchKind::Coma, 0.25, 1),
         point(*fft, ArchKind::Agg, 0.75, 2),
         point(*dbase, ArchKind::Agg, 0.25, 4),
     };
+    // Point 4 is point 2's machine edited after buildConfig, as Figure
+    // 9 does: P-node memory held at a 2-P-node machine's share.
+    points.push_back(points[2]);
+    points.back().cfg.pNodeMemBytes *= 4;
+
     std::vector<RunResult> serial;
     for (const auto &p : points)
-        serial.push_back(runWorkload(*p.workload, p.spec, p.opts));
+        serial.push_back(runWorkload(p.cfg, *p.workload, p.opts));
+    // The edit reached the machine.
+    EXPECT_NE(serial[4].totalTicks, serial[2].totalTicks);
 
     for (int workers : {1, 4}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -176,11 +182,12 @@ TEST(RunPoints, LowestFailingPointsErrorReachesTheCaller)
     auto fft = makeWorkload("fft");
     std::vector<ExperimentPoint> points(
         5, point(*fft, ArchKind::Agg, 0.25, 2));
-    // Point 1 panics on its event budget; point 3's spec is rejected
-    // at build time, so it fails first on the wall clock. The caller
-    // must still see point 1's error — the one a serial loop hits.
+    // Point 1 panics on its event budget; point 3's config is edited
+    // into one the Machine rejects when it validates it, so it fails
+    // first on the wall clock. The caller must still see point 1's
+    // error — the one a serial loop hits.
     points[1].opts.maxEventsPerPhase = 100;
-    points[3].spec.pressure = 0.0;
+    points[3].cfg.dNodeMemBytes = 0;
     EXPECT_THROW(runPoints(points, 4), PanicError);
     EXPECT_THROW(runPoints({points[3]}, 4), FatalError);
     EXPECT_TRUE(runPoints({}, 4).empty());
