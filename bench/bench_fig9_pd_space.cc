@@ -40,9 +40,11 @@ main()
     // Each app submits its reference point, then its grid D-major:
     // the 16-P-node machines, the largest, are then spread through the
     // queue instead of four running at once, which lowers peak memory
-    // and the tail of the sweep.
-    const std::size_t per_app = 1 + p_counts.size() * d_counts.size();
+    // and the tail of the sweep. The grid's 2P & 2D cell builds the
+    // reference's own machine, so it reuses the reference's result.
     std::vector<ExperimentPoint> points;
+    std::vector<std::size_t> ref_index;               // per app
+    std::vector<std::vector<std::size_t>> cell_index; // per app, D-major
     for (const auto &wl : wls) {
         // Reference configuration: 2 P-nodes, 2 D-nodes, AGG75. Its
         // per-P-node memory and total D memory stay fixed across the
@@ -55,8 +57,10 @@ main()
         const MachineConfig ref_cfg = buildConfig(*wl, ref);
         const std::uint64_t p_mem = ref_cfg.pNodeMemBytes;
         const std::uint64_t total_d_mem = 2 * ref_cfg.dNodeMemBytes;
+        ref_index.push_back(points.size());
         points.push_back({wl.get(), ref_cfg, {}});
 
+        std::vector<std::size_t> cells;
         for (int d : d_counts) {
             for (int p : p_counts) {
                 BuildSpec spec = ref;
@@ -67,18 +71,22 @@ main()
                 cfg.dNodeMemBytes =
                     ceilDiv(total_d_mem / d, cfg.pageBytes) *
                     cfg.pageBytes;
+                if (p == ref.threads && d == ref.dNodes &&
+                    cfg.dNodeMemBytes == ref_cfg.dNodeMemBytes) {
+                    cells.push_back(ref_index.back());
+                    continue;
+                }
+                cells.push_back(points.size());
                 points.push_back({wl.get(), cfg, {}});
             }
         }
+        cell_index.push_back(std::move(cells));
     }
     const std::vector<RunResult> results = runPoints(points);
-    // Point i of app a; i = 0 is the reference.
-    auto result = [&](std::size_t a, std::size_t i) -> const RunResult & {
-        return results[a * per_app + i];
-    };
 
     for (std::size_t a = 0; a < apps.size(); ++a) {
-        const double base = static_cast<double>(result(a, 0).totalTicks);
+        const double base =
+            static_cast<double>(results[ref_index[a]].totalTicks);
 
         std::vector<std::string> headers = {"P \\ D"};
         for (int d : d_counts)
@@ -93,7 +101,7 @@ main()
             for (std::size_t di = 0; di < d_counts.size(); ++di) {
                 const int d = d_counts[di];
                 const RunResult &r =
-                    result(a, 1 + di * p_counts.size() + pi);
+                    results[cell_index[a][di * p_counts.size() + pi]];
                 const double norm = r.totalTicks / base;
                 row.push_back(TablePrinter::num(norm));
                 if (r.totalTicks < best) {

@@ -26,7 +26,7 @@ Cache::access(Addr addr, bool is_write)
     ++hits_;
     array_.touch(*line);
     if (is_write)
-        line->dirty = true;
+        line->setDirty(true);
     return true;
 }
 
@@ -38,24 +38,21 @@ Cache::fill(Addr addr, bool dirty, CohState state, Version version)
     if (!line) {
         line = array_.victim(addr);
         if (line->valid()) {
-            result.evictedLine = line->lineAddr;
-            result.evictedDirty = line->dirty;
-            result.evictedState = line->state;
-            result.evictedVersion = line->version;
-            if (line->dirty)
+            result.evictedLine = line->lineAddr();
+            result.evictedDirty = line->dirty();
+            result.evictedState = line->state();
+            result.evictedVersion = line->version();
+            if (line->dirty())
                 ++writebacks_;
         }
         line->reset();
-        line->lineAddr = array_.align(addr);
-        line->state = state;
-        line->version = version;
-    } else {
-        // Upgrades may strengthen the state of a resident line.
-        line->state = state;
-        line->version = version;
+        line->setLineAddr(array_.align(addr));
     }
+    // On a resident line, an upgrade may strengthen the state.
+    line->setState(state);
+    line->setVersion(version);
     if (dirty)
-        line->dirty = true;
+        line->setDirty(true);
     array_.touch(*line);
     return result;
 }
@@ -66,7 +63,7 @@ Cache::invalidateLine(Addr addr)
     CacheLine *line = array_.find(addr);
     if (!line)
         return false;
-    const bool was_dirty = line->dirty;
+    const bool was_dirty = line->dirty();
     line->reset();
     return was_dirty;
 }
@@ -76,7 +73,7 @@ Cache::cleanBlock(Addr block_addr, int span_bytes)
 {
     for (int off = 0; off < span_bytes; off += params_.lineBytes) {
         if (CacheLine *line = array_.find(block_addr + off))
-            line->dirty = false;
+            line->setDirty(false);
     }
 }
 

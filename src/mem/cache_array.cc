@@ -1,5 +1,8 @@
 #include "mem/cache_array.hh"
 
+#include <algorithm>
+#include <sstream>
+
 #include "sim/log.hh"
 
 namespace pimdsm
@@ -22,11 +25,30 @@ cohStateName(CohState s)
     }
 }
 
+void
+CacheLine::panicBadTag(Addr a)
+{
+    std::ostringstream os;
+    os << "CacheLine tag 0x" << std::hex << a << " is not aligned to a "
+       << std::dec << kMinLineBytes << "-byte line or is the no-tag code";
+    panic(os.str());
+}
+
+void
+CacheLine::panicVersionOverflow(Version v)
+{
+    panic("CacheLine version " + std::to_string(v) +
+          " does not fit its 32-bit field");
+}
+
 CacheArray::CacheArray(std::uint64_t size_bytes, int assoc, int line_bytes)
     : assoc_(assoc), lineBytes_(line_bytes)
 {
     if (!isPow2(static_cast<std::uint64_t>(line_bytes)))
         fatal("cache line size must be a power of two");
+    if (line_bytes < CacheLine::kMinLineBytes)
+        fatal("cache line size must be at least " +
+              std::to_string(CacheLine::kMinLineBytes) + " bytes");
     if (assoc <= 0)
         fatal("associativity must be positive");
     std::uint64_t lines = size_bytes / line_bytes;
@@ -36,14 +58,9 @@ CacheArray::CacheArray(std::uint64_t size_bytes, int assoc, int line_bytes)
     if (numSets_ == 0)
         numSets_ = 1;
     setShift_ = log2i(static_cast<std::uint64_t>(lineBytes_));
+    setsPow2_ = isPow2(static_cast<std::uint64_t>(numSets_));
+    setMask_ = static_cast<std::uint64_t>(numSets_) - 1;
     lines_.resize(static_cast<std::size_t>(numSets_) * assoc_);
-}
-
-int
-CacheArray::setIndex(Addr addr) const
-{
-    return static_cast<int>((addr >> setShift_) %
-                            static_cast<std::uint64_t>(numSets_));
 }
 
 CacheLine *
@@ -53,7 +70,7 @@ CacheArray::find(Addr addr)
     const int set = setIndex(addr);
     CacheLine *base = &lines_[static_cast<std::size_t>(set) * assoc_];
     for (int w = 0; w < assoc_; ++w) {
-        if (base[w].valid() && base[w].lineAddr == line_addr)
+        if (base[w].holds(line_addr))
             return &base[w];
     }
     return nullptr;
@@ -74,7 +91,7 @@ CacheArray::replacementRank(const CacheLine &line, VictimPolicy policy) const
         return 1;
     // ComaPriority: non-master shared copies are cheap to drop; master
     // and dirty lines require injection, so keep them longest.
-    switch (line.state) {
+    switch (line.state()) {
       case CohState::Shared:
         return 1;
       case CohState::SharedMaster:
@@ -115,12 +132,37 @@ CacheArray::victim(Addr addr, VictimPolicy policy)
     for (int w = 1; w < assoc_; ++w) {
         const int rank = replacementRank(base[w], policy);
         if (rank < best_rank ||
-            (rank == best_rank && base[w].lastUse < best->lastUse)) {
+            (rank == best_rank && base[w].lastUse_ < best->lastUse_)) {
             best = &base[w];
             best_rank = rank;
         }
     }
     return best;
+}
+
+void
+CacheArray::renormaliseLru()
+{
+    std::vector<std::uint32_t> stamps;
+    std::uint32_t top = 0;
+    for (std::size_t base = 0; base < lines_.size(); base += assoc_) {
+        stamps.clear();
+        stamps.push_back(0); // reset entries keep stamp 0
+        for (int w = 0; w < assoc_; ++w)
+            stamps.push_back(lines_[base + w].lastUse_);
+        std::sort(stamps.begin(), stamps.end());
+        stamps.erase(std::unique(stamps.begin(), stamps.end()),
+                     stamps.end());
+        for (int w = 0; w < assoc_; ++w) {
+            CacheLine &line = lines_[base + w];
+            line.lastUse_ = static_cast<std::uint32_t>(
+                std::lower_bound(stamps.begin(), stamps.end(),
+                                 line.lastUse_) -
+                stamps.begin());
+        }
+        top = std::max(top, static_cast<std::uint32_t>(stamps.size() - 1));
+    }
+    lruClock_ = top;
 }
 
 void

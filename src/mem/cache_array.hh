@@ -7,8 +7,10 @@
 #ifndef PIMDSM_MEM_CACHE_ARRAY_HH
 #define PIMDSM_MEM_CACHE_ARRAY_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <limits>
+#include <new>
 #include <vector>
 
 #include "sim/types.hh"
@@ -45,28 +47,124 @@ cohOwned(CohState s)
     return s == CohState::Dirty || s == CohState::SharedMaster;
 }
 
-/** One tag-array entry. */
-struct CacheLine
+/**
+ * One tag-array entry, packed into 16 bytes so that a 4-way set is one
+ * 64-byte host cache line.
+ *
+ * The tag word holds the full 64-bit line address with the coherence
+ * state, the write-back bit and the on-chip residence bit folded into
+ * its low four bits, which are zero in any address aligned to a line of
+ * at least kMinLineBytes. The version is stored in 32 bits (a larger
+ * one panics) and the LRU stamp is its array's 32-bit clock, which
+ * CacheArray renormalises before it wraps.
+ */
+class CacheLine
 {
-    Addr lineAddr = kInvalidAddr; ///< aligned line address (tag)
-    CohState state = CohState::Invalid;
-    bool dirty = false;           ///< L1/L2 write-back bit
-    bool onChip = true;           ///< tagged-memory on-/off-chip residence
-    std::uint64_t lastUse = 0;    ///< LRU clock
-    Version version = 0;          ///< functional data version (node level)
+  public:
+    /** Smallest line whose aligned addresses leave the flag bits free. */
+    static constexpr int kMinLineBytes = 16;
 
-    bool valid() const { return state != CohState::Invalid; }
+    /** Aligned line address (the tag), or kInvalidAddr if never set. */
+    Addr
+    lineAddr() const
+    {
+        const Addr a = tag_ & kAddrMask;
+        return a == kAddrMask ? kInvalidAddr : a;
+    }
 
+    /** Set the tag; @p a is line aligned or kInvalidAddr. */
+    void
+    setLineAddr(Addr a)
+    {
+        // kAddrMask itself encodes "no tag", so no line may use it.
+        if (a != kInvalidAddr && ((a & kFlagMask) != 0 || a == kAddrMask))
+            panicBadTag(a);
+        tag_ = (a & kAddrMask) | (tag_ & kFlagMask);
+    }
+
+    CohState
+    state() const
+    {
+        return static_cast<CohState>(tag_ & kStateMask);
+    }
+
+    void
+    setState(CohState s)
+    {
+        tag_ = (tag_ & ~kStateMask) | static_cast<std::uint64_t>(s);
+    }
+
+    /** L1/L2 write-back bit. */
+    bool dirty() const { return (tag_ & kDirtyBit) != 0; }
+    void setDirty(bool d) { setFlag(kDirtyBit, d); }
+
+    /** Tagged-memory on-/off-chip residence. */
+    bool onChip() const { return (tag_ & kOnChipBit) != 0; }
+    void setOnChip(bool on) { setFlag(kOnChipBit, on); }
+
+    /** Functional data version (node level). */
+    Version version() const { return version_; }
+
+    void
+    setVersion(Version v)
+    {
+        if (v > std::numeric_limits<std::uint32_t>::max())
+            panicVersionOverflow(v);
+        version_ = static_cast<std::uint32_t>(v);
+    }
+
+    /** LRU stamp; only comparable with stamps of the same set. */
+    std::uint32_t lastUse() const { return lastUse_; }
+
+    bool valid() const { return (tag_ & kStateMask) != 0; }
+
+    /**
+     * Invalidate the entry: no tag, Invalid, clean, version and LRU
+     * stamp zero. Reset keeps residence: onChip() is unchanged, since
+     * the on-chip ways of a tagged-memory set are fixed in number.
+     */
     void
     reset()
     {
-        lineAddr = kInvalidAddr;
-        state = CohState::Invalid;
-        dirty = false;
-        lastUse = 0;
-        version = 0;
+        tag_ = kAddrMask | (tag_ & kOnChipBit);
+        lastUse_ = 0;
+        version_ = 0;
     }
+
+  private:
+    friend class CacheArray;
+
+    static constexpr std::uint64_t kStateMask = 0x3;
+    static constexpr std::uint64_t kDirtyBit = 0x4;
+    static constexpr std::uint64_t kOnChipBit = 0x8;
+    static constexpr std::uint64_t kFlagMask =
+        static_cast<std::uint64_t>(kMinLineBytes - 1);
+    static constexpr std::uint64_t kAddrMask = ~kFlagMask;
+
+    void
+    setFlag(std::uint64_t bit, bool on)
+    {
+        tag_ = on ? (tag_ | bit) : (tag_ & ~bit);
+    }
+
+    /** True iff the entry is valid and tagged with @p line_addr. */
+    bool
+    holds(Addr line_addr) const
+    {
+        return (tag_ & kAddrMask) == line_addr && valid();
+    }
+
+    [[noreturn]] static void panicBadTag(Addr a);
+    [[noreturn]] static void panicVersionOverflow(Version v);
+
+    std::uint64_t tag_ = kAddrMask | kOnChipBit;
+    std::uint32_t lastUse_ = 0;
+    std::uint32_t version_ = 0;
 };
+
+static_assert(sizeof(CacheLine) == 16, "CacheLine is packed into 16 B");
+static_assert(static_cast<int>(CohState::Dirty) <= 3,
+              "CohState must fit the tag's two state bits");
 
 /** Victim-selection disciplines. */
 enum class VictimPolicy
@@ -84,6 +182,42 @@ enum class VictimPolicy
      */
     Random,
 };
+
+/**
+ * Allocator for storage aligned to a host cache line, so that a set of
+ * up to four CacheLines never straddles two.
+ */
+template <class T>
+struct HostLineAllocator
+{
+    static constexpr std::size_t kAlign = 64;
+    using value_type = T;
+
+    HostLineAllocator() = default;
+    template <class U>
+    HostLineAllocator(const HostLineAllocator<U> &) {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(
+            ::operator new(n * sizeof(T), std::align_val_t{kAlign}));
+    }
+
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, std::align_val_t{kAlign});
+    }
+
+    template <class U>
+    bool operator==(const HostLineAllocator<U> &) const { return true; }
+    template <class U>
+    bool operator!=(const HostLineAllocator<U> &) const { return false; }
+};
+
+static_assert(4 * sizeof(CacheLine) == HostLineAllocator<CacheLine>::kAlign,
+              "a 4-way set is one host cache line");
 
 class CacheArray
 {
@@ -104,7 +238,15 @@ class CacheArray
     }
 
     /** Set index for an address. */
-    int setIndex(Addr addr) const;
+    int
+    setIndex(Addr addr) const
+    {
+        const std::uint64_t block = addr >> setShift_;
+        if (setsPow2_)
+            return static_cast<int>(block & setMask_);
+        return static_cast<int>(block %
+                                static_cast<std::uint64_t>(numSets_));
+    }
 
     /** Align an address to this array's line size. */
     Addr align(Addr addr) const
@@ -124,7 +266,22 @@ class CacheArray
     CacheLine *victim(Addr addr, VictimPolicy policy = VictimPolicy::Lru);
 
     /** Mark @p line most recently used. */
-    void touch(CacheLine &line) { line.lastUse = ++lruClock_; }
+    void
+    touch(CacheLine &line)
+    {
+        if (lruClock_ == std::numeric_limits<std::uint32_t>::max())
+            renormaliseLru();
+        line.lastUse_ = ++lruClock_;
+    }
+
+    /** The LRU clock's last stamp. */
+    std::uint32_t lruClock() const { return lruClock_; }
+
+    /** Preset the LRU clock (tests of the wrap-around path). */
+    void setLruClockForTest(std::uint32_t clock) { lruClock_ = clock; }
+
+    /** First entry of the storage (tests of its alignment). */
+    const CacheLine *data() const { return lines_.data(); }
 
     /** Invalidate all lines (does not report dirty victims). */
     void invalidateAll();
@@ -142,6 +299,14 @@ class CacheArray
   private:
     int replacementRank(const CacheLine &line, VictimPolicy policy) const;
 
+    /**
+     * Rewrite every set's stamps as their ranks within the set (0
+     * stays 0) and restart the clock above the largest rank. Only
+     * stamps of one set are ever compared, so every victim and
+     * migration choice is unchanged.
+     */
+    void renormaliseLru();
+
     /** Deterministic pseudo-random way pick. */
     int randomWay();
 
@@ -151,8 +316,10 @@ class CacheArray
     int assoc_;
     int lineBytes_;
     int setShift_;
-    std::uint64_t lruClock_ = 0;
-    std::vector<CacheLine> lines_;
+    bool setsPow2_;
+    std::uint64_t setMask_; ///< numSets_ - 1; used when setsPow2_
+    std::uint32_t lruClock_ = 0;
+    std::vector<CacheLine, HostLineAllocator<CacheLine>> lines_;
 };
 
 } // namespace pimdsm

@@ -27,7 +27,7 @@ TaggedMemory::TaggedMemory(std::uint64_t size_bytes, const MemParams &params)
     for (int set = 0; set < array_.numSets(); ++set) {
         int way = 0;
         array_.forEachInSet(set, [&](CacheLine &line) {
-            line.onChip = way++ < onChipWays_;
+            line.setOnChip(way++ < onChipWays_);
         });
     }
 }
@@ -36,7 +36,7 @@ Tick
 TaggedMemory::accessAndMigrate(CacheLine &line)
 {
     array_.touch(line);
-    if (line.onChip) {
+    if (line.onChip()) {
         ++onChipHits_;
         return params_.onChipLatency;
     }
@@ -44,17 +44,17 @@ TaggedMemory::accessAndMigrate(CacheLine &line)
     ++offChipHits_;
     if (onChipWays_ < array_.assoc()) {
         // Swap residence with the LRU on-chip line of the same set.
-        const int set = array_.setIndex(line.lineAddr);
+        const int set = array_.setIndex(line.lineAddr());
         CacheLine *lru_on_chip = nullptr;
         array_.forEachInSet(set, [&](CacheLine &cand) {
-            if (&cand == &line || !cand.onChip)
+            if (&cand == &line || !cand.onChip())
                 return;
-            if (!lru_on_chip || cand.lastUse < lru_on_chip->lastUse)
+            if (!lru_on_chip || cand.lastUse() < lru_on_chip->lastUse())
                 lru_on_chip = &cand;
         });
         if (lru_on_chip) {
-            lru_on_chip->onChip = false;
-            line.onChip = true;
+            lru_on_chip->setOnChip(false);
+            line.setOnChip(true);
             ++migrations_;
         }
     }
@@ -64,11 +64,9 @@ TaggedMemory::accessAndMigrate(CacheLine &line)
 void
 TaggedMemory::install(CacheLine &way, Addr line_addr, CohState state)
 {
-    const bool residence = way.onChip;
     way.reset();
-    way.onChip = residence;
-    way.lineAddr = array_.align(line_addr);
-    way.state = state;
+    way.setLineAddr(array_.align(line_addr));
+    way.setState(state);
     array_.touch(way);
 }
 
@@ -80,7 +78,7 @@ TaggedMemory::checkOnChipInvariant() const
     for (int set = 0; set < arr.numSets(); ++set) {
         int on_chip = 0;
         arr.forEachInSet(set, [&](CacheLine &line) {
-            if (line.onChip)
+            if (line.onChip())
                 ++on_chip;
         });
         if (on_chip != onChipWays_)

@@ -19,7 +19,7 @@ CohState
 CachedMemCompute::nodeState(Addr line) const
 {
     const CacheLine *l = mem_.find(line);
-    return l ? l->state : CohState::Invalid;
+    return l ? l->state() : CohState::Invalid;
 }
 
 Version
@@ -28,7 +28,7 @@ CachedMemCompute::nodeVersion(Addr line) const
     const CacheLine *l = mem_.find(line);
     if (!l || !l->valid())
         panic("nodeVersion on absent line");
-    return l->version;
+    return l->version();
 }
 
 Tick
@@ -44,9 +44,9 @@ CachedMemCompute::localDataAccess(Addr line, Tick issue)
 void
 CachedMemCompute::evictWay(CacheLine &way)
 {
-    const Addr victim = way.lineAddr;
-    const CohState st = way.state;
-    const Version v = way.version;
+    const Addr victim = way.lineAddr();
+    const CohState st = way.state();
+    const Version v = way.version();
 
     // Inclusion: caches may not outlive the node-level line.
     l1_.invalidateBlock(victim, cfg().mem.lineBytes);
@@ -59,9 +59,7 @@ CachedMemCompute::evictWay(CacheLine &way)
         // keeps a stale sharer bit, which only costs a spurious inval.
         ++sharedDrops_;
     }
-    const bool residence = way.onChip;
     way.reset();
-    way.onChip = residence;
     noteState(victim, cohOwned(st) ? "evict-wb" : "evict-drop");
 }
 
@@ -79,10 +77,10 @@ CachedMemCompute::installLine(Addr line, CohState st, Version v)
             evictWay(*way);
         mem_.install(*way, line, st);
     } else {
-        way->state = st;
+        way->setState(st);
         mem_.array().touch(*way);
     }
-    way->version = v;
+    way->setVersion(v);
     mem_.port().acquire(ctx_.eq().curTick(), mem_.transferOccupancy());
     fillL2(line, st, v, false);
 }
@@ -93,14 +91,14 @@ CachedMemCompute::setNodeState(Addr line, CohState st, Version v)
     CacheLine *way = mem_.find(line);
     if (!way)
         panic("setNodeState on absent line");
-    way->state = st;
-    way->version = v;
+    way->setState(st);
+    way->setVersion(v);
     mem_.array().touch(*way);
     if (CacheLine *l2line = l2_.array().find(line)) {
-        l2line->state = st;
-        l2line->version = v;
+        l2line->setState(st);
+        l2line->setVersion(v);
         if (st != CohState::Dirty)
-            l2line->dirty = false;
+            l2line->setDirty(false);
     }
     if (st != CohState::Dirty) {
         // Downgrade: the node-level copy is clean with respect to the
@@ -117,10 +115,8 @@ CachedMemCompute::invalidateLocal(Addr line)
     CacheLine *way = mem_.find(line);
     if (!way)
         return CohState::Invalid;
-    const CohState prior = way->state;
-    const bool residence = way->onChip;
+    const CohState prior = way->state();
     way->reset();
-    way->onChip = residence;
     return prior;
 }
 
@@ -159,8 +155,8 @@ CachedMemCompute::handleInject(const Message &msg)
     if (!way)
         way = mem_.victim(line, VictimPolicy::ComaPriority);
     const bool conflict = mshrs_.count(line) || wbPending_.count(line);
-    if (conflict || (way->valid() && way->lineAddr != line &&
-                     cohOwned(way->state))) {
+    if (conflict || (way->valid() && way->lineAddr() != line &&
+                     cohOwned(way->state()))) {
         ++injectsRefused_;
         resp.type = MsgType::InjectNack;
         ctx_.eq().schedule(now + msgEngineLatency_,
@@ -168,22 +164,20 @@ CachedMemCompute::handleInject(const Message &msg)
         return;
     }
 
-    if (way->valid() && way->lineAddr != line) {
+    if (way->valid() && way->lineAddr() != line) {
         // Displace a non-master shared copy silently.
-        const Addr displaced = way->lineAddr;
+        const Addr displaced = way->lineAddr();
         l1_.invalidateBlock(displaced, cfg().mem.lineBytes);
         l2_.invalidateLine(displaced);
         ++sharedDrops_;
-        const bool residence = way->onChip;
         way->reset();
-        way->onChip = residence;
         noteState(displaced, "inject-displace");
     }
     if (!way->valid())
         mem_.install(*way, line, CohState::SharedMaster);
-    way->state = msg.masterClean ? CohState::SharedMaster
-                                 : CohState::Dirty;
-    way->version = msg.version;
+    way->setState(msg.masterClean ? CohState::SharedMaster
+                                  : CohState::Dirty);
+    way->setVersion(msg.version);
     ++injectsAccepted_;
     noteState(line, "inject");
 
@@ -206,8 +200,8 @@ CachedMemCompute::handleMasterGrant(const Message &msg)
     resp.src = self_;
     resp.dst = msg.src;
 
-    if (way && way->state == CohState::Shared) {
-        way->state = CohState::SharedMaster;
+    if (way && way->state() == CohState::Shared) {
+        way->setState(CohState::SharedMaster);
         noteState(msg.lineAddr, "master-grant");
         resp.type = MsgType::InjectAck;
         resp.masterClean = true;
@@ -225,7 +219,7 @@ CachedMemCompute::forEachOwnedLine(
 {
     mem_.array().forEach([&](CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr, l.state, l.version);
+            fn(l.lineAddr(), l.state(), l.version());
     });
 }
 
@@ -235,18 +229,14 @@ CachedMemCompute::forEachValidLine(
 {
     mem_.array().forEach([&](const CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr, l.state, l.version);
+            fn(l.lineAddr(), l.state(), l.version());
     });
 }
 
 void
 CachedMemCompute::invalidateAllLocal()
 {
-    mem_.array().forEach([&](CacheLine &l) {
-        const bool residence = l.onChip;
-        l.reset();
-        l.onChip = residence;
-    });
+    mem_.array().invalidateAll();
 }
 
 } // namespace pimdsm

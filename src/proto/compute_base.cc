@@ -196,7 +196,7 @@ ComputeBase::startAccess(const PendingAccess &acc)
         auto f = l1_.fill(acc.addr, acc.isWrite);
         if (f.evictedDirty) {
             if (CacheLine *p = l2_.array().find(f.evictedLine))
-                p->dirty = true;
+                p->setDirty(true);
         }
         if (acc.isWrite)
             ++storesServed_;
@@ -216,7 +216,7 @@ ComputeBase::startAccess(const PendingAccess &acc)
         auto f = l1_.fill(acc.addr, acc.isWrite);
         if (f.evictedDirty) {
             if (CacheLine *p = l2_.array().find(f.evictedLine))
-                p->dirty = true;
+                p->setDirty(true);
         }
     }
     if (acc.isWrite)
@@ -494,7 +494,7 @@ ComputeBase::finishAccess(Mshr &m)
         auto f = l1_.fill(addr, m.isWrite);
         if (f.evictedDirty) {
             if (CacheLine *p = l2_.array().find(f.evictedLine))
-                p->dirty = true;
+                p->setDirty(true);
         }
         if (m.isWrite) {
             ++storesServed_;
@@ -1095,14 +1095,14 @@ ComputeBase::checkInclusion() const
     l1_.array().forEach([&](const CacheLine &line) {
         if (!line.valid())
             return;
-        const Addr parent = memLine(line.lineAddr);
+        const Addr parent = memLine(line.lineAddr());
         if (!l2_.array().find(parent))
             panic("L1 line not covered by L2");
     });
     l2_.array().forEach([&](const CacheLine &line) {
         if (!line.valid())
             return;
-        if (!cohValid(nodeState(line.lineAddr)))
+        if (!cohValid(nodeState(line.lineAddr())))
             panic("L2 line without node-level rights");
     });
 }

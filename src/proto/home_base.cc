@@ -953,12 +953,13 @@ bool
 HomeBase::dedupRequest(const Message &msg)
 {
     const auto key = std::make_pair(msg.lineAddr, msg.src);
-    auto it = served_.find(key);
-    if (it == served_.end() || msg.txnSeq > it->second.seq) {
+    // One probe: emplace finds the record or inserts an empty one.
+    const auto probe = served_.emplace(key, ServedTxn{});
+    auto it = probe.first;
+    if (probe.second || msg.txnSeq > it->second.seq) {
         // Fresh transaction: record it and serve normally.
-        ServedTxn &st = served_[key];
-        st.seq = msg.txnSeq;
-        st.reply = CachedReply{};
+        it->second.seq = msg.txnSeq;
+        it->second.reply = CachedReply{};
         return false;
     }
     if (msg.txnSeq == it->second.seq && it->second.reply.valid) {

@@ -18,7 +18,7 @@ CohState
 NumaCompute::nodeState(Addr line) const
 {
     const CacheLine *l = l2_.array().find(line);
-    return l ? l->state : CohState::Invalid;
+    return l ? l->state() : CohState::Invalid;
 }
 
 Version
@@ -27,7 +27,7 @@ NumaCompute::nodeVersion(Addr line) const
     const CacheLine *l = l2_.array().find(line);
     if (!l || !l->valid())
         panic("nodeVersion on absent NUMA line");
-    return l->version;
+    return l->version();
 }
 
 Tick
@@ -50,11 +50,11 @@ NumaCompute::setNodeState(Addr line, CohState st, Version v)
     CacheLine *l = l2_.array().find(line);
     if (!l)
         panic("setNodeState on absent NUMA line");
-    l->state = st;
-    l->version = v;
+    l->setState(st);
+    l->setVersion(v);
     if (st != CohState::Dirty) {
         // Downgrade: the sharing writeback cleaned the data.
-        l->dirty = false;
+        l->setDirty(false);
         l1_.cleanBlock(line, cfg().mem.lineBytes);
     }
 }
@@ -64,7 +64,7 @@ NumaCompute::invalidateLocal(Addr line)
 {
     l1_.invalidateBlock(line, cfg().mem.lineBytes);
     CacheLine *l = l2_.array().find(line);
-    const CohState prior = l ? l->state : CohState::Invalid;
+    const CohState prior = l ? l->state() : CohState::Invalid;
     l2_.invalidateLine(line);
     return prior;
 }
@@ -95,7 +95,7 @@ NumaCompute::forEachValidLine(
 {
     l2_.array().forEach([&](const CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr, l.state, l.version);
+            fn(l.lineAddr(), l.state(), l.version());
     });
 }
 
@@ -105,7 +105,7 @@ NumaCompute::forEachOwnedLine(
 {
     l2_.array().forEach([&](CacheLine &l) {
         if (l.valid())
-            fn(l.lineAddr, l.state, l.version);
+            fn(l.lineAddr(), l.state(), l.version());
     });
 }
 

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/cache_array.hh"
@@ -30,8 +34,8 @@ TEST(CacheArray, GeometryAndLookup)
     EXPECT_EQ(arr.find(0x1000), nullptr);
     CacheLine *way = arr.victim(0x1000);
     ASSERT_NE(way, nullptr);
-    way->lineAddr = arr.align(0x1000);
-    way->state = CohState::Shared;
+    way->setLineAddr(arr.align(0x1000));
+    way->setState(CohState::Shared);
     arr.touch(*way);
     EXPECT_EQ(arr.find(0x1004), way); // same line, different offset
     EXPECT_EQ(arr.find(0x2000), nullptr);
@@ -43,15 +47,15 @@ TEST(CacheArray, LruVictimSelection)
     Addr addrs[4] = {0x000, 0x100, 0x200, 0x300};
     for (Addr a : addrs) {
         CacheLine *w = arr.victim(a);
-        w->lineAddr = a;
-        w->state = CohState::Shared;
+        w->setLineAddr(a);
+        w->setState(CohState::Shared);
         arr.touch(*w);
     }
     // Re-touch everything except 0x100: it becomes the LRU victim.
     arr.touch(*arr.find(0x000));
     arr.touch(*arr.find(0x200));
     arr.touch(*arr.find(0x300));
-    EXPECT_EQ(arr.victim(0x400)->lineAddr, 0x100u);
+    EXPECT_EQ(arr.victim(0x400)->lineAddr(), 0x100u);
 }
 
 TEST(CacheArray, InvalidWayPreferred)
@@ -59,8 +63,8 @@ TEST(CacheArray, InvalidWayPreferred)
     CacheArray arr(4 * 64, 4, 64);
     for (Addr a : {0x000, 0x100, 0x200}) {
         CacheLine *w = arr.victim(a);
-        w->lineAddr = a;
-        w->state = CohState::Shared;
+        w->setLineAddr(a);
+        w->setState(CohState::Shared);
         arr.touch(*w);
     }
     EXPECT_FALSE(arr.victim(0x400)->valid());
@@ -73,19 +77,143 @@ TEST(CacheArray, ComaPriorityProtectsMasters)
                                 CohState::Shared, CohState::Shared};
     for (int i = 0; i < 4; ++i) {
         CacheLine *w = arr.victim(static_cast<Addr>(i) << 8);
-        w->lineAddr = static_cast<Addr>(i) << 8;
-        w->state = states[i];
+        w->setLineAddr(static_cast<Addr>(i) << 8);
+        w->setState(states[i]);
         arr.touch(*w);
     }
     // Non-master shared lines are replaced first.
     CacheLine *v = arr.victim(0x900, VictimPolicy::ComaPriority);
-    EXPECT_EQ(v->state, CohState::Shared);
+    EXPECT_EQ(v->state(), CohState::Shared);
 
     // With only owned lines left, the master goes before the dirty.
-    arr.find(0x200)->state = CohState::Dirty;
-    arr.find(0x300)->state = CohState::SharedMaster;
+    arr.find(0x200)->setState(CohState::Dirty);
+    arr.find(0x300)->setState(CohState::SharedMaster);
     v = arr.victim(0x900, VictimPolicy::ComaPriority);
-    EXPECT_EQ(v->state, CohState::SharedMaster);
+    EXPECT_EQ(v->state(), CohState::SharedMaster);
+}
+
+TEST(CacheArray, SetIndexMatchesModulo)
+{
+    // Power-of-two set counts take the mask path, others the modulo.
+    const int geometries[][3] = {{8 * 1024, 2, 64},   {64, 1, 64},
+                                 {32 * 1024, 8, 128}, {3 * 4 * 64, 4, 64},
+                                 {5 * 2 * 128, 2, 128}, {48 * 64, 1, 64}};
+    Rng rng(11);
+    for (const auto &g : geometries) {
+        CacheArray arr(static_cast<std::uint64_t>(g[0]), g[1], g[2]);
+        const int shift = log2i(static_cast<std::uint64_t>(g[2]));
+        for (int i = 0; i < 2000; ++i) {
+            const Addr a = rng.next();
+            ASSERT_EQ(static_cast<std::uint64_t>(arr.setIndex(a)),
+                      (a >> shift) %
+                          static_cast<std::uint64_t>(arr.numSets()))
+                << "sets=" << arr.numSets() << " addr=" << a;
+        }
+    }
+}
+
+TEST(CacheArray, StorageIsHostLineAligned)
+{
+    for (int assoc : {1, 2, 4, 8}) {
+        CacheArray arr(4096, assoc, 64);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arr.data()) % 64, 0u);
+    }
+}
+
+/** Every way's tag, state and residence, in storage order. */
+std::vector<std::tuple<Addr, CohState, bool>>
+snapshot(const CacheArray &arr)
+{
+    std::vector<std::tuple<Addr, CohState, bool>> out;
+    arr.forEach([&](const CacheLine &l) {
+        out.emplace_back(l.lineAddr(), l.state(), l.onChip());
+    });
+    return out;
+}
+
+TEST(CacheArray, LruOrderSurvivesClockWrap)
+{
+    MemParams p;
+    p.assoc = 4;
+    p.lineBytes = 128;
+    p.onChipFraction = 0.5;
+    TaggedMemory fresh(4 * 4 * 128, p);
+    TaggedMemory wrapped(4 * 4 * 128, p);
+    wrapped.array().setLruClockForTest(
+        std::numeric_limits<std::uint32_t>::max() - 1000);
+
+    Rng rng(17);
+    for (int i = 0; i < 5000; ++i) {
+        const Addr a = rng.nextBounded(64) * 128;
+        TaggedMemory *tms[2] = {&fresh, &wrapped};
+        Addr evicted[2];
+        for (int k = 0; k < 2; ++k) {
+            CacheLine *l = tms[k]->find(a);
+            evicted[k] = kInvalidAddr;
+            if (!l) {
+                l = tms[k]->victim(a);
+                evicted[k] = l->lineAddr();
+                tms[k]->install(*l, a, CohState::Shared);
+            }
+            tms[k]->accessAndMigrate(*l);
+        }
+        ASSERT_EQ(evicted[0], evicted[1]) << "access " << i;
+        ASSERT_EQ(snapshot(fresh.array()), snapshot(wrapped.array()))
+            << "access " << i;
+    }
+    EXPECT_EQ(fresh.migrations(), wrapped.migrations());
+    EXPECT_GT(wrapped.migrations(), 0u);
+    // The clock wrapped and restarted from the renormalised stamps.
+    EXPECT_LT(wrapped.array().lruClock(), fresh.array().lruClock());
+}
+
+TEST(CacheLine, PackedTagAndFlagsRoundTrip)
+{
+    CacheLine l;
+    EXPECT_FALSE(l.valid());
+    EXPECT_EQ(l.lineAddr(), kInvalidAddr);
+    EXPECT_TRUE(l.onChip());
+
+    const Addr high = 0xfedc'ba98'7654'3200ull; // needs all 64 bits
+    const CohState states[] = {CohState::Invalid, CohState::Shared,
+                               CohState::SharedMaster, CohState::Dirty};
+    for (CohState st : states) {
+        for (bool dirty : {false, true}) {
+            for (bool on : {false, true}) {
+                l.setLineAddr(high);
+                l.setState(st);
+                l.setDirty(dirty);
+                l.setOnChip(on);
+                l.setVersion(0xffff'ffffull);
+                EXPECT_EQ(l.lineAddr(), high);
+                EXPECT_EQ(l.state(), st);
+                EXPECT_EQ(l.valid(), st != CohState::Invalid);
+                EXPECT_EQ(l.dirty(), dirty);
+                EXPECT_EQ(l.onChip(), on);
+                EXPECT_EQ(l.version(), 0xffff'ffffull);
+            }
+        }
+    }
+    // Reset keeps residence and clears everything else.
+    l.setOnChip(false);
+    l.reset();
+    EXPECT_FALSE(l.onChip());
+    EXPECT_FALSE(l.valid());
+    EXPECT_FALSE(l.dirty());
+    EXPECT_EQ(l.lineAddr(), kInvalidAddr);
+    EXPECT_EQ(l.version(), 0u);
+
+    EXPECT_THROW(l.setLineAddr(0x1008), PanicError); // not line aligned
+    // A line shorter than kMinLineBytes would overlap the flag bits.
+    EXPECT_THROW(CacheArray(1024, 1, 8), FatalError);
+}
+
+TEST(CacheLine, VersionBeyond32BitsPanics)
+{
+    CacheLine l;
+    l.setVersion(7);
+    EXPECT_THROW(l.setVersion(0x1'0000'0000ull), PanicError);
+    EXPECT_EQ(l.version(), 7u);
 }
 
 TEST(Cache, HitMissAndDirtyTracking)
@@ -126,8 +254,8 @@ TEST(Cache, FillCarriesStateAndVersion)
     c.fill(0x200, false, CohState::Dirty, 7);
     const CacheLine *l = c.array().find(0x200);
     ASSERT_NE(l, nullptr);
-    EXPECT_EQ(l->state, CohState::Dirty);
-    EXPECT_EQ(l->version, 7u);
+    EXPECT_EQ(l->state(), CohState::Dirty);
+    EXPECT_EQ(l->version(), 7u);
 
     auto f = c.fill(0x200 + 1024, false, CohState::Shared, 9);
     (void)f;
@@ -158,7 +286,7 @@ TEST(TaggedMemory, OnOffChipLatencyAndMigration)
     // Two of the four must be off chip.
     int off = 0;
     for (int i = 0; i < 4; ++i) {
-        if (!tm.find(i * stride)->onChip)
+        if (!tm.find(i * stride)->onChip())
             ++off;
     }
     EXPECT_EQ(off, 2);
@@ -166,13 +294,13 @@ TEST(TaggedMemory, OnOffChipLatencyAndMigration)
     // Accessing an off-chip line migrates it on chip.
     CacheLine *offline = nullptr;
     for (int i = 0; i < 4; ++i) {
-        if (!tm.find(i * stride)->onChip)
+        if (!tm.find(i * stride)->onChip())
             offline = tm.find(i * stride);
     }
     ASSERT_NE(offline, nullptr);
     EXPECT_EQ(tm.accessAndMigrate(*offline),
               smallMemParams().offChipLatency);
-    EXPECT_TRUE(offline->onChip);
+    EXPECT_TRUE(offline->onChip());
     EXPECT_TRUE(tm.checkOnChipInvariant());
     EXPECT_EQ(tm.migrations(), 1u);
 

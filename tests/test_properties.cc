@@ -45,11 +45,11 @@ TEST_P(CacheGeometry, FindAfterInsertAndVictimStability)
         if (!l) {
             CacheLine *v = arr.victim(a);
             if (v->valid())
-                resident.erase(v->lineAddr);
+                resident.erase(v->lineAddr());
             v->reset();
-            v->lineAddr = arr.align(a);
-            v->state = CohState::Shared;
-            resident.insert(v->lineAddr);
+            v->setLineAddr(arr.align(a));
+            v->setState(CohState::Shared);
+            resident.insert(v->lineAddr());
             l = v;
         }
         arr.touch(*l);
@@ -120,7 +120,7 @@ TEST_P(TaggedResidence, OnChipCountInvariantUnderChurn)
     for (Addr a = 0; a < 8 * 128; a += 128) {
         const CacheLine *l = tm.find(a);
         ASSERT_NE(l, nullptr);
-        EXPECT_TRUE(l->onChip);
+        EXPECT_TRUE(l->onChip());
     }
 }
 

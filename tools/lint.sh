@@ -82,14 +82,15 @@ fi
 
 # --- 6. Hot-path container/callback discipline ------------------------
 # The kernel overhaul moved src/sim, src/net, and src/proto hot paths
-# to InlineCallback / FunctionRef / FlatMap. New std::function members
+# to InlineCallback / FunctionRef / FlatMap; src/mem (the tag arrays
+# every access probes) is held to the same rule. New std::function members
 # and node-based maps reintroduce per-event allocations; use
 # sim/inline_callback.hh (owning), sim/function_ref.hh (borrowing
 # visitor parameters), or sim/flat_map.hh instead. The allowlist
 # covers cold paths: the user-facing completion-callback API, CIM
 # completion plumbing, reconfig-time scratch maps, the sorted stats
 # report, and the spec static analyzer.
-hits=$(find src/sim src/net src/proto -name '*.cc' -o -name '*.hh' |
+hits=$(find src/sim src/net src/proto src/mem -name '*.cc' -o -name '*.hh' |
        sort |
        xargs grep -nE 'std::function<|std::map<|std::unordered_map<' \
            2>/dev/null |
