@@ -1,11 +1,17 @@
+/**
+ * @file
+ * The real-Machine schedule harness and its two drivers, Explorer::run
+ * and replaySpecTraces (see explorer.hh).
+ */
+
 #include "check/explorer.hh"
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <utility>
 
+#include "check/spec_explorer.hh"
 #include "machine/machine.hh"
 #include "machine/reconfig.hh"
 #include "sim/log.hh"
@@ -20,184 +26,120 @@ namespace
  *  far below the pushed-out fault timeouts. */
 constexpr Tick kSettleWindow = 1u << 20;
 
-/** Timeout/sweep horizon the explorer pushes past: it drives recovery
+/** Timeout/sweep horizon the harness pushes past: it drives recovery
  *  explicitly via retryStalledTransactions instead of simulated time. */
 constexpr Tick kFarFuture = Tick{1} << 50;
 
-/** Forced-retry rounds before a stalled schedule is declared wedged. */
+/** Forced-retry rounds before a stalled run is declared wedged. */
 constexpr int kMaxRetryRounds = 16;
 
-/** One executable option at a decision point. */
-struct Choice
+/** Arm @p mc for checking and validate it: oracle on and, for a fault
+ *  mode, the recovery bookkeeping with its timers pushed past the
+ *  horizon (the harness injects faults and drives recovery itself). */
+void
+armForCheck(MachineConfig &mc, ExplorerFaultMode mode)
 {
-    enum class Kind
-    {
-        Deliver,
-        Drop,
-        Dup,
-        Kill,
-    };
-    Kind kind = Kind::Deliver;
-    /** Deliver/Drop/Dup: which pair queue's head. */
-    std::pair<NodeId, NodeId> queue{kInvalidNode, kInvalidNode};
-    /** Kill: the D-node to fail-stop. */
-    NodeId victim = kInvalidNode;
-};
+    mc.check.enabled = true;
+    if (mode != ExplorerFaultMode::None) {
+        mc.faults.armRecovery = true;
+        mc.faults.timeoutTicks = kFarFuture;
+        mc.faults.sweepInterval = kFarFuture;
+    }
+    mc.validate();
+}
 
-/** One schedule: a fresh machine run replaying a choice prefix. */
-class ScheduleRun
+/** One fresh real Machine whose messages are delivered by choice. */
+class ScheduleHarness
 {
   public:
-    ScheduleRun(const ExplorerConfig &cfg, const std::vector<int> &prefix)
-        : cfg_(cfg), prefix_(prefix), m_(cfg.machine)
+    /** One executable option at a decision point. */
+    struct Choice
+    {
+        enum class Kind
+        {
+            Deliver,
+            Drop,
+            Dup,
+            Kill,
+        };
+        Kind kind = Kind::Deliver;
+        /** Deliver/Drop/Dup: which pair queue's head. */
+        std::pair<NodeId, NodeId> queue{kInvalidNode, kInvalidNode};
+        /** Kill: the D-node to fail-stop. */
+        NodeId victim = kInvalidNode;
+    };
+
+    /** @p mc must be armed for @p mode. Drop/dup choices are offered
+     *  while fewer than @p faultBudget faults were taken. */
+    ScheduleHarness(const MachineConfig &mc, ExplorerFaultMode mode,
+                    int faultBudget)
+        : mode_(mode), faultBudget_(faultBudget), m_(mc)
     {
         m_.setSendInterceptor([this](const Message &msg) {
             queues_[{msg.src, msg.dst}].push_back(msg);
             return true;
         });
     }
+    // The machine's callbacks hold this harness's address.
+    ScheduleHarness(const ScheduleHarness &) = delete;
+    ScheduleHarness &operator=(const ScheduleHarness &) = delete;
 
-    void
-    execute()
-    {
-        try {
-            executeInner();
-        } catch (const PanicError &e) {
-            std::ostringstream os;
-            os << e.what() << "\n  model-check schedule (" << trace_.size()
-               << " choices):";
-            for (const std::string &s : trace_)
-                os << "\n    " << s;
-            throw PanicError(os.str());
-        }
-    }
-
-    /** Choice indices actually taken, in order. */
+    /** Choice indices taken by runToQuiescence, in order. */
     const std::vector<int> &taken() const { return taken_; }
-    /** Branching factor per decision (recorded up to maxDecisionDepth;
-     *  parallel to the first counts().size() entries of taken()). */
+    /** Branching factor at each of those decisions. */
     const std::vector<int> &counts() const { return counts_; }
     bool faultUsed() const { return faultsUsed_ > 0; }
+    /** Messages handed to their destination, duplicates included. */
+    std::uint64_t deliveries() const { return deliveries_; }
 
-  private:
+    /** Issue @p a at @p delay ticks from now (not yet settled). */
+    void
+    issue(const ScriptedAccess &a, Tick delay)
+    {
+        issued_.push_back(a);
+        m_.eq().scheduleIn(delay, [this, a] {
+            m_.compute(a.node)->access(
+                a.addr, a.isWrite,
+                [this](Tick, ReadService) { ++completions_; });
+        });
+    }
+
     void
     settle()
     {
         m_.eq().runUntil(m_.eq().curTick() + kSettleWindow);
     }
 
-    bool
-    allQuiescent() const
-    {
-        if (completions_ != cfg_.accesses.size())
-            return false;
-        for (NodeId n : m_.computeNodes()) {
-            if (!m_.compute(n)->quiescent())
-                return false;
-        }
-        return true;
-    }
-
-    std::vector<Choice>
-    enumerateChoices() const
-    {
-        std::vector<Choice> out;
-        for (const auto &[key, q] : queues_) {
-            if (q.empty())
-                continue;
-            Choice c;
-            c.kind = Choice::Kind::Deliver;
-            c.queue = key;
-            out.push_back(c);
-        }
-        const bool budget = cfg_.faultMode != ExplorerFaultMode::None &&
-                            faultsUsed_ < cfg_.faultBudget;
-        if (budget && cfg_.faultMode == ExplorerFaultMode::DropDup) {
-            for (const auto &[key, q] : queues_) {
-                if (q.empty())
-                    continue;
-                const MsgClass cls = msgClassOf(q.front().type);
-                if (msgClassDroppable(cls)) {
-                    Choice c;
-                    c.kind = Choice::Kind::Drop;
-                    c.queue = key;
-                    out.push_back(c);
-                }
-                if (msgClassDupSafe(cls)) {
-                    Choice c;
-                    c.kind = Choice::Kind::Dup;
-                    c.queue = key;
-                    out.push_back(c);
-                }
-            }
-        }
-        if (cfg_.faultMode == ExplorerFaultMode::Death &&
-            faultsUsed_ == 0 && !allQuiescent()) {
-            const auto dnodes = m_.directoryNodes();
-            if (dnodes.size() >= 2) {
-                for (NodeId d : dnodes) {
-                    Choice c;
-                    c.kind = Choice::Kind::Kill;
-                    c.victim = d;
-                    out.push_back(c);
-                }
-            }
-        }
-        return out;
-    }
-
-    std::string
-    describe(const Choice &c) const
-    {
-        std::ostringstream os;
-        switch (c.kind) {
-          case Choice::Kind::Deliver:
-          case Choice::Kind::Drop:
-          case Choice::Kind::Dup: {
-            const char *verb = c.kind == Choice::Kind::Deliver ? "deliver"
-                               : c.kind == Choice::Kind::Drop  ? "drop"
-                                                               : "dup";
-            os << verb << " "
-               << queues_.at(c.queue).front().toString();
-            break;
-          }
-          case Choice::Kind::Kill:
-            os << "kill D-node " << c.victim;
-            break;
-        }
-        return os.str();
-    }
-
+    /** Take @p c, note it in the trace, and settle. */
     void
     apply(const Choice &c)
     {
+        trace_.push_back(describe(c));
         switch (c.kind) {
           case Choice::Kind::Deliver: {
             auto &q = queues_[c.queue];
             const Message msg = q.front();
             q.pop_front();
             m_.deliverDirect(msg);
+            ++deliveries_;
             break;
           }
-          case Choice::Kind::Drop: {
-            auto &q = queues_[c.queue];
-            q.pop_front();
+          case Choice::Kind::Drop:
+            queues_[c.queue].pop_front();
             m_.stats().add("mc.dropped");
             ++faultsUsed_;
             break;
-          }
-          case Choice::Kind::Dup: {
+          case Choice::Kind::Dup:
             // The duplicate rides right behind the original in the
             // pair's FIFO: deliver the head once and leave the copy at
             // the head, so its delivery is a later choice that can
             // interleave with other pairs' traffic.
-            auto &q = queues_[c.queue];
-            m_.deliverDirect(q.front());
+            m_.deliverDirect(queues_[c.queue].front());
+            ++deliveries_;
             m_.stats().add("mc.duplicated");
             ++faultsUsed_;
             break;
-          }
-          case Choice::Kind::Kill: {
+          case Choice::Kind::Kill:
             failOverDNode(m_, c.victim);
             // In-flight traffic to the dead node would be dropped at
             // delivery anyway; purge it so it stops generating
@@ -209,57 +151,82 @@ class ScheduleRun
             }
             ++faultsUsed_;
             break;
-          }
         }
-    }
-
-    /** The schedule stalled with no message in flight: drive the
-     *  recovery paths the pushed-out timeouts would have driven. */
-    void
-    forceRetries()
-    {
-        if (cfg_.faultMode == ExplorerFaultMode::None)
-            panic("model-check deadlock without any injected fault\n" +
-                  m_.stuckDiagnostic());
-        if (++retryRounds_ > kMaxRetryRounds)
-            panic("model-check schedule wedged: " +
-                  std::to_string(kMaxRetryRounds) +
-                  " forced-retry rounds made no progress\n" +
-                  m_.stuckDiagnostic());
-        int sent = 0;
-        for (NodeId n : m_.computeNodes())
-            sent += m_.compute(n)->retryStalledTransactions(true);
-        trace_.push_back("force-retry round " +
-                         std::to_string(retryRounds_) + " (" +
-                         std::to_string(sent) + " resends)");
         settle();
     }
 
+    /** Take a @p kind choice on the first live queue head (pair order)
+     *  carrying @p type for @p line; false when no head matches. */
+    bool
+    applyMatching(Choice::Kind kind, MsgType type, Addr line)
+    {
+        for (const auto &[key, q] : queues_) {
+            if (!q.empty() && q.front().type == type &&
+                q.front().lineAddr == line) {
+                apply({kind, key, kInvalidNode});
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /** Compute node @p n resends its stalled transactions; settle. */
+    void
+    retry(NodeId n)
+    {
+        m_.compute(n)->retryStalledTransactions(true);
+        settle();
+    }
+
+    /** Settle, then take choice prefix[i] at decision i and choice 0
+     *  past the prefix until none remain, forcing retry rounds while
+     *  the run is stalled short of quiescence. */
+    void
+    runToQuiescence(const std::vector<int> &prefix)
+    {
+        settle();
+        while (true) {
+            const std::vector<Choice> options = choices();
+            if (options.empty()) {
+                if (allQuiescent())
+                    return;
+                forceRetries();
+                continue;
+            }
+            const std::size_t depth = taken_.size();
+            const int pick = depth < prefix.size() ? prefix[depth] : 0;
+            if (pick >= static_cast<int>(options.size()))
+                panic("model-check replay prefix names choice " +
+                      std::to_string(pick) + " of " +
+                      std::to_string(options.size()) +
+                      " (nondeterministic run?)");
+            counts_.push_back(static_cast<int>(options.size()));
+            taken_.push_back(pick);
+            apply(options[pick]);
+        }
+    }
+
+    /** The end-of-run checks (see explorer.hh); panics on a failure. */
     void
     checkTerminal()
     {
-        if (completions_ != cfg_.accesses.size())
-            panic("model-check schedule lost accesses: " +
+        if (completions_ != issued_.size())
+            panic("model-check run lost accesses: " +
                   std::to_string(completions_) + "/" +
-                  std::to_string(cfg_.accesses.size()) + " completed\n" +
+                  std::to_string(issued_.size()) + " completed\n" +
                   m_.stuckDiagnostic());
         m_.checkInvariants();
-        if (cfg_.quiescentScan)
-            m_.checkCoherenceQuiescent();
+        m_.checkCoherenceQuiescent();
 
-        // Sequential reference: every scripted write must have
-        // committed exactly once, so each touched line's final version
-        // is its script write count (dedup must stop retried or
-        // duplicated requests from committing twice).
+        // Sequential reference: every issued write must have committed
+        // exactly once, so each touched line's final version is its
+        // write count (dedup must stop retried or duplicated requests
+        // from committing twice).
         std::map<Addr, Version> expect;
-        const int line_bytes = m_.config().mem.lineBytes;
-        for (const ScriptedAccess &a : cfg_.accesses) {
-            const Addr line =
-                blockAlign(a.addr, static_cast<std::uint64_t>(line_bytes));
-            expect.emplace(line, 0);
-            if (a.isWrite)
-                ++expect[line];
-        }
+        const auto lineBytes =
+            static_cast<std::uint64_t>(m_.config().mem.lineBytes);
+        for (const ScriptedAccess &a : issued_)
+            expect[blockAlign(a.addr, lineBytes)] += a.isWrite ? 1 : 0;
         // A write whose grant was lost and whose cached reply was then
         // scrubbed by a later invalidation gets re-served, serializing
         // the same store twice; the home counts those, and the final
@@ -286,91 +253,152 @@ class ScheduleRun
                   std::to_string(reserved) + " scrubbed write retries");
 
         if (m_.oracle().violations() != 0)
-            panic("model-check schedule ended with " +
+            panic("model-check run ended with " +
                   std::to_string(m_.oracle().violations()) +
                   " coherence violations (degraded mode)");
     }
 
-    void
-    executeInner()
+    /** @p e with this run's choice trace appended. */
+    PanicError
+    withTrace(const PanicError &e) const
     {
-        for (std::size_t i = 0; i < cfg_.accesses.size(); ++i) {
-            const ScriptedAccess a = cfg_.accesses[i];
-            // Stagger issues by one tick for a deterministic order.
-            m_.eq().schedule(static_cast<Tick>(i), [this, a] {
-                m_.compute(a.node)->access(
-                    a.addr, a.isWrite,
-                    [this](Tick, ReadService) { ++completions_; });
-            });
-        }
-        settle();
-
-        while (true) {
-            const std::vector<Choice> choices = enumerateChoices();
-            if (choices.empty()) {
-                if (allQuiescent())
-                    break;
-                forceRetries();
-                continue;
-            }
-            const int depth = static_cast<int>(taken_.size());
-            int pick = 0;
-            if (depth < static_cast<int>(prefix_.size()))
-                pick = prefix_[depth];
-            if (pick >= static_cast<int>(choices.size()))
-                panic("model-check replay prefix names choice " +
-                      std::to_string(pick) + " of " +
-                      std::to_string(choices.size()) +
-                      " (nondeterministic run?)");
-            if (depth < cfg_.maxDecisionDepth)
-                counts_.push_back(static_cast<int>(choices.size()));
-            taken_.push_back(pick);
-            trace_.push_back(describe(choices[pick]));
-            apply(choices[pick]);
-            settle();
-        }
-        checkTerminal();
+        std::ostringstream os;
+        os << e.what() << "\n  model-check schedule (" << trace_.size()
+           << " choices):";
+        for (const std::string &s : trace_)
+            os << "\n    " << s;
+        return PanicError(os.str());
     }
 
-    const ExplorerConfig &cfg_;
-    const std::vector<int> &prefix_;
+  private:
+    bool
+    allQuiescent() const
+    {
+        if (completions_ != issued_.size())
+            return false;
+        for (NodeId n : m_.computeNodes()) {
+            if (!m_.compute(n)->quiescent())
+                return false;
+        }
+        return true;
+    }
+
+    /** The live queue heads' deliveries in pair order, then the drops
+     *  and duplicates their fault classes allow (budget left), then
+     *  one kill per D-node (Death, none yet, run not quiescent). */
+    std::vector<Choice>
+    choices() const
+    {
+        using Kind = Choice::Kind;
+        std::vector<Choice> out;
+        for (const auto &[key, q] : queues_) {
+            if (!q.empty())
+                out.push_back({Kind::Deliver, key, kInvalidNode});
+        }
+        if (mode_ == ExplorerFaultMode::DropDup &&
+            faultsUsed_ < faultBudget_) {
+            for (const auto &[key, q] : queues_) {
+                if (q.empty())
+                    continue;
+                const MsgClass cls = msgClassOf(q.front().type);
+                if (msgClassDroppable(cls))
+                    out.push_back({Kind::Drop, key, kInvalidNode});
+                if (msgClassDupSafe(cls))
+                    out.push_back({Kind::Dup, key, kInvalidNode});
+            }
+        }
+        // Death mode has a failover survivor (the Explorer checks).
+        if (mode_ == ExplorerFaultMode::Death && faultsUsed_ == 0 &&
+            !allQuiescent()) {
+            for (NodeId d : m_.directoryNodes())
+                out.push_back({Kind::Kill, {}, d});
+        }
+        return out;
+    }
+
+    std::string
+    describe(const Choice &c) const
+    {
+        if (c.kind == Choice::Kind::Kill)
+            return "kill D-node " + std::to_string(c.victim);
+        const char *verb = c.kind == Choice::Kind::Deliver ? "deliver "
+                           : c.kind == Choice::Kind::Drop  ? "drop "
+                                                           : "dup ";
+        return verb + queues_.at(c.queue).front().toString();
+    }
+
+    /** The run stalled with no message in flight: drive the recovery
+     *  paths the pushed-out timeouts would have driven. */
+    void
+    forceRetries()
+    {
+        if (mode_ == ExplorerFaultMode::None)
+            panic("model-check deadlock without any injected fault\n" +
+                  m_.stuckDiagnostic());
+        if (++retryRounds_ > kMaxRetryRounds)
+            panic("model-check run wedged: " +
+                  std::to_string(kMaxRetryRounds) +
+                  " forced-retry rounds made no progress\n" +
+                  m_.stuckDiagnostic());
+        int sent = 0;
+        for (NodeId n : m_.computeNodes())
+            sent += m_.compute(n)->retryStalledTransactions(true);
+        trace_.push_back("force-retry round " +
+                         std::to_string(retryRounds_) + " (" +
+                         std::to_string(sent) + " resends)");
+        settle();
+    }
+
+    ExplorerFaultMode mode_;
+    int faultBudget_;
     Machine m_;
     std::map<std::pair<NodeId, NodeId>, std::deque<Message>> queues_;
+    std::vector<ScriptedAccess> issued_;
     std::vector<int> taken_;
     std::vector<int> counts_;
     std::vector<std::string> trace_;
     std::size_t completions_ = 0;
+    std::uint64_t deliveries_ = 0;
     int faultsUsed_ = 0;
     int retryRounds_ = 0;
 };
 
 } // namespace
 
+MachineConfig
+tinyCheckMachine(ArchKind arch, int p, int d)
+{
+    MachineConfig cfg = makeBaseConfig(arch);
+    cfg.numPNodes = p;
+    cfg.numThreads = p;
+    cfg.numDNodes = arch == ArchKind::Agg ? d : 0;
+    cfg.pNodeMemBytes = 64 * 1024;
+    cfg.dNodeMemBytes = 64 * 1024;
+    cfg.l1 = CacheParams{1024, 1, 64, 3};
+    cfg.l2 = CacheParams{4096, 1, 64, 6};
+    fitMesh(cfg.net, cfg.totalNodes());
+    cfg.validate();
+    return cfg;
+}
+
+// ----------------------------------------------------------------------
+// Explorer: stateless DFS over the harness's choice tree.
+// ----------------------------------------------------------------------
+
 Explorer::Explorer(ExplorerConfig cfg) : cfg_(std::move(cfg))
 {
     if (cfg_.accesses.empty())
         fatal("explorer needs at least one scripted access");
-    if (cfg_.maxDecisionDepth <= 0)
-        fatal("explorer needs a positive decision depth");
     if (cfg_.faultMode != ExplorerFaultMode::None && cfg_.faultBudget < 1)
         fatal("fault exploration needs a positive fault budget");
     MachineConfig &mc = cfg_.machine;
-    mc.check.enabled = true;
-    if (cfg_.faultMode != ExplorerFaultMode::None) {
-        // Arm txn seqs / dedup / retry bookkeeping but push the
-        // simulated timers past the horizon: the explorer injects
-        // faults and drives recovery at its own decision points.
-        mc.faults.armRecovery = true;
-        mc.faults.timeoutTicks = kFarFuture;
-        mc.faults.sweepInterval = kFarFuture;
-    }
     if (cfg_.faultMode == ExplorerFaultMode::Death) {
         if (mc.arch != ArchKind::Agg)
             fatal("D-node death exploration requires an AGG machine");
         if (mc.numDNodes < 2)
             fatal("D-node death exploration needs a failover survivor");
     }
-    mc.validate();
+    armForCheck(mc, cfg_.faultMode);
     for (const ScriptedAccess &a : cfg_.accesses) {
         if (a.node < 0 || a.node >= mc.totalNodes())
             fatal("scripted access names a node outside the machine");
@@ -383,21 +411,26 @@ Explorer::run()
     ExplorerResult res;
     std::vector<int> prefix;
     while (true) {
-        ScheduleRun sched(cfg_, prefix);
-        sched.execute();
+        ScheduleHarness h(cfg_.machine, cfg_.faultMode, cfg_.faultBudget);
+        try {
+            // Stagger issues by one tick for a deterministic order.
+            for (std::size_t i = 0; i < cfg_.accesses.size(); ++i)
+                h.issue(cfg_.accesses[i], static_cast<Tick>(i));
+            h.runToQuiescence(prefix);
+            h.checkTerminal();
+        } catch (const PanicError &e) {
+            throw h.withTrace(e);
+        }
+        const std::vector<int> &taken = h.taken();
+        const std::vector<int> &counts = h.counts();
         ++res.schedules;
-        res.decisions += sched.taken().size();
+        res.decisions += taken.size();
         res.reExecuted += prefix.size();
-        res.visited += sched.taken().size() - prefix.size();
-        res.pruned += sched.taken().size() - sched.counts().size();
-        if (sched.faultUsed())
+        res.visited += taken.size() - prefix.size();
+        if (h.faultUsed())
             ++res.faultSchedules;
-        if (sched.taken().size() > res.maxDepthSeen)
-            res.maxDepthSeen = sched.taken().size();
 
         // Backtrack to the deepest decision with an unexplored sibling.
-        const std::vector<int> &taken = sched.taken();
-        const std::vector<int> &counts = sched.counts();
         int i = static_cast<int>(counts.size()) - 1;
         while (i >= 0 && taken[i] + 1 >= counts[i])
             --i;
@@ -411,6 +444,75 @@ Explorer::run()
         prefix.push_back(taken[i] + 1);
     }
     return res;
+}
+
+// ----------------------------------------------------------------------
+// Conformance sampling: spec traces guide the harness.
+// ----------------------------------------------------------------------
+
+SpecConformanceResult
+replaySpecTraces(const SpecExplorerConfig &cfg,
+                 const std::vector<SpecTrace> &traces)
+{
+    if (cfg.mutation != SpecMutation::None)
+        fatal("conformance replay is for unmutated specs");
+    const ExplorerFaultMode mode = cfg.faults > 0
+                                       ? ExplorerFaultMode::DropDup
+                                       : ExplorerFaultMode::None;
+    MachineConfig mc = tinyCheckMachine(cfg.arch, cfg.nodes, 1);
+    armForCheck(mc, mode);
+    using Kind = ScheduleHarness::Choice::Kind;
+    SpecConformanceResult sum;
+    for (const SpecTrace &tr : traces) {
+        ScheduleHarness h(mc, mode, cfg.faults);
+        try {
+            for (const SpecTraceStep &s : tr) {
+                // The tiny machine's compute nodes are 0 .. nodes-1,
+                // the model's own numbering.
+                const Addr line = tinyCheckLine(s.line);
+                switch (s.kind) {
+                  case SpecTraceStep::Kind::Read:
+                  case SpecTraceStep::Kind::Write:
+                    h.issue({s.node, line,
+                             s.kind == SpecTraceStep::Kind::Write},
+                            Tick{0});
+                    h.settle();
+                    break;
+                  case SpecTraceStep::Kind::Retry:
+                    h.retry(s.node);
+                    break;
+                  case SpecTraceStep::Kind::Evict:
+                    panic("conformance replay got an Evict step; sample "
+                          "traces from an evicts == 0 exploration");
+                  case SpecTraceStep::Kind::Deliver:
+                  case SpecTraceStep::Kind::Drop:
+                  case SpecTraceStep::Kind::Dup: {
+                    // The real machine's traffic is a superset of the
+                    // model's and fault recovery can diverge in
+                    // detail, so an unmatched step is skipped and
+                    // counted: the terminal checks are the bar.
+                    const Kind k =
+                        s.kind == SpecTraceStep::Kind::Deliver ? Kind::Deliver
+                        : s.kind == SpecTraceStep::Kind::Drop  ? Kind::Drop
+                                                               : Kind::Dup;
+                    if (h.applyMatching(k, s.msg, line))
+                        ++sum.guidedSteps;
+                    else
+                        ++sum.missedSteps;
+                    break;
+                  }
+                }
+            }
+            // The trace's own tail plus any recovery traffic.
+            h.runToQuiescence({});
+            h.checkTerminal();
+        } catch (const PanicError &e) {
+            throw h.withTrace(e);
+        }
+        sum.deliveries += h.deliveries();
+        ++sum.replayed;
+    }
+    return sum;
 }
 
 } // namespace pimdsm

@@ -1,29 +1,35 @@
 /**
  * @file
- * Protocol model-check explorer.
+ * Real-Machine schedule checking: one harness, two drivers.
  *
- * Runs a tiny scripted workload (a few accesses to one or two lines on
- * a 2-4 node machine) under every message-delivery ordering the mesh
- * could legally produce, optionally extended with a single injected
- * fault (one message drop, one duplicate, or one D-node fail-stop) per
- * schedule. Every outgoing message is captured at the Machine::send
- * interception point into per-(src, dst) FIFO queues — the mesh never
- * reorders messages within a pair (XY routing + FIFO links), so the
- * legal delivery choices at any instant are exactly the queue heads.
+ * The schedule harness (explorer.cc) drives a tiny real Machine one
+ * message at a time. Every outgoing message is captured at the
+ * Machine::send interception point into per-(src, dst) FIFO queues —
+ * the mesh never reorders messages within a pair (XY routing + FIFO
+ * links), so the legal delivery choices at any instant are exactly the
+ * queue heads, plus, under a fault mode, a drop or duplicate of a head
+ * (by fault class) or one D-node fail-stop. A run that stalls short of
+ * quiescence with nothing in flight gets the recovery its pushed-out
+ * timeouts would have driven: bounded forced-retry rounds.
  *
- * Exploration is stateless DFS with choice-prefix replay: each schedule
- * is a fresh deterministic Machine run that replays a recorded prefix
- * of choice indices and then defaults to choice 0, recording the
- * branching factor at each decision so the driver can backtrack to the
- * deepest unexplored sibling.
+ * Every run ends in the same terminal checks: every issued access
+ * completed, the machine invariants and the quiescent coherence scan
+ * hold, each touched line's committed version equals the sequential
+ * reference (its write count — no write lost, none applied twice), and
+ * the coherence oracle counted zero violations.
  *
- * Every completed schedule must reach quiescence (all MSHRs and
- * writebacks drained, every scripted access completed), pass the
- * coherence oracle with zero violations, pass the quiescent whole-
- * machine coherence scan, and end with each touched line's committed
- * version equal to the sequential reference (the number of scripted
- * writes to it — no write lost, none applied twice). Any failure
- * panics with the full choice sequence of the offending schedule.
+ * Two drivers sit on the harness:
+ *  - Explorer (below) is stateless DFS with choice-prefix replay: each
+ *    schedule is a fresh harness that issues the script up front,
+ *    replays a recorded prefix of choice indices and then defaults to
+ *    choice 0, recording the branching factor at each decision so the
+ *    driver can backtrack to the deepest unexplored sibling.
+ *  - replaySpecTraces (declared in check/spec_explorer.hh) is
+ *    trace-guided: each abstract step takes the first live queue head
+ *    matching its (type, line), and the tail runs the Explorer's
+ *    default path.
+ *
+ * Any failure panics with the run's full choice trace.
  */
 
 #ifndef PIMDSM_CHECK_EXPLORER_HH
@@ -46,18 +52,30 @@ struct ScriptedAccess
     bool isWrite = false;
 };
 
-/** What the explorer may inject on top of delivery reordering. */
+/** What a harness run may inject on top of delivery reordering. */
 enum class ExplorerFaultMode
 {
     None,    ///< pure delivery-order exploration
-    DropDup, ///< plus one drop or duplicate of a recoverable message
+    DropDup, ///< plus drops or duplicates of recoverable messages
     Death,   ///< plus one D-node fail-stop + failover (AGG only)
 };
 
+/** The tiny machine the real-Machine checkers run on: @p p P-nodes
+ *  with one thread each, @p d D-nodes (AGG only), 64 KB memories and
+ *  direct-mapped 1 KB L1 / 4 KB L2 caches. */
+MachineConfig tinyCheckMachine(ArchKind arch, int p, int d);
+
+/** Address of line @p li of a checker script: one line per page. */
+constexpr Addr
+tinyCheckLine(int li)
+{
+    return (Addr{1} << 16) + static_cast<Addr>(li) * 4096;
+}
+
 struct ExplorerConfig
 {
-    /** Tiny machine shape (2-4 nodes; validated by the caller). The
-     *  explorer forces check.enabled and, for fault modes, arms the
+    /** Tiny machine shape (2-4 nodes; validated by the Explorer). The
+     *  Explorer forces check.enabled and, for fault modes, arms the
      *  recovery machinery with timeouts pushed past the horizon. */
     MachineConfig machine;
     std::vector<ScriptedAccess> accesses;
@@ -69,10 +87,6 @@ struct ExplorerConfig
     /** Stop after this many complete schedules (the frontier may be
      *  unexhausted; ExplorerResult::truncated reports that). */
     std::uint64_t maxSchedules = 100000;
-    /** Decisions beyond this depth take choice 0 without branching. */
-    int maxDecisionDepth = 64;
-    /** Run the full quiescent coherence scan at every terminal. */
-    bool quiescentScan = true;
 };
 
 struct ExplorerResult
@@ -80,7 +94,6 @@ struct ExplorerResult
     std::uint64_t schedules = 0;      ///< distinct complete schedules
     std::uint64_t decisions = 0;      ///< total choices taken
     std::uint64_t faultSchedules = 0; ///< schedules containing a fault
-    std::uint64_t maxDepthSeen = 0;   ///< deepest decision sequence
     /** Decision-tree nodes first reached this run (decisions minus the
      *  replay overhead: decisions == visited + reExecuted). */
     std::uint64_t visited = 0;
@@ -89,9 +102,6 @@ struct ExplorerResult
      *  checker, which deduplicates states instead; see
      *  docs/model-checking.md). */
     std::uint64_t reExecuted = 0;
-    /** Decisions past maxDecisionDepth where branching was suppressed
-     *  (siblings pruned by the depth cap rather than explored). */
-    std::uint64_t pruned = 0;
     bool truncated = false;           ///< hit maxSchedules early
 };
 

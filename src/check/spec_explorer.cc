@@ -39,11 +39,8 @@
 #include <array>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <utility>
 
-#include "machine/machine.hh"
-#include "proto/compute_base.hh"
 #include "proto/spec.hh"
 #include "sim/flat_map.hh"
 #include "sim/log.hh"
@@ -294,7 +291,7 @@ class Model
 {
   public:
     explicit Model(const SpecExplorerConfig &cfg)
-        : cfg_(cfg), spec_(spec::ProtocolSpec::build())
+        : cfg_(cfg), spec_(spec::ProtocolSpec::instance())
     {
         switch (cfg_.arch) {
           case ArchKind::Agg:
@@ -406,15 +403,6 @@ class Model
              ", " + msgTypeName(stepMsg_) + ") in " +
              spec::lineStateName(ls) +
              ", which is not in the row's next-state list");
-    }
-
-    /** Abort a step without checks (fault-echo path discovered after
-     *  the row was already resolved — never used today, kept for
-     *  symmetry). */
-    void
-    cancelStep()
-    {
-        stepActive_ = false;
     }
 
     /** Append a message to the line's in-flight set, enforcing the
@@ -1709,13 +1697,10 @@ class Proto : public Model
     bool drainNeeded_ = false;
 };
 
-/** Seeded xorshift64 for reservoir sampling (never wall-clock). */
+/** Fixed-seed xorshift64 for reservoir sampling (never wall-clock). */
 struct XorShift
 {
-    std::uint64_t s;
-    explicit XorShift(std::uint64_t seed)
-        : s(seed ? seed : 0x9e3779b97f4a7c15ull)
-    {}
+    std::uint64_t s = 1;
     std::uint64_t
     next()
     {
@@ -2267,11 +2252,6 @@ class Search : public Proto
     runDfs()
     {
         SpecExplorerResult res;
-        FlatMap<std::uint64_t, char> visited;
-        visited.reserve(1u << 16);
-        XorShift rng(cfg_.sampleSeed);
-        std::uint64_t termSeen = 0;
-
         struct Frame
         {
             World w;
@@ -2279,17 +2259,14 @@ class Search : public Proto
             std::size_t next = 0;
         };
         std::vector<Frame> stack;
-        std::vector<SpecTraceStep> path;
+        SpecTrace path;
 
-        const World init = initial();
-        visited.emplace(fingerprint(init), 1);
-        res.states = 1;
         Frame f0;
-        f0.w = init;
-        enumerate(init, f0.acts, res.porPruned);
-        if (f0.acts.empty())
-            return res; // degenerate budgets: nothing to do
-        stack.push_back(std::move(f0));
+        f0.w = initial();
+        markInitial(f0.w, 1u << 16, res);
+        enumerate(f0.w, f0.acts, res.porPruned);
+        if (!f0.acts.empty()) // else degenerate budgets: nothing to do
+            stack.push_back(std::move(f0));
 
         while (!stack.empty()) {
             Frame &f = stack.back();
@@ -2299,96 +2276,41 @@ class Search : public Proto
                     path.pop_back();
                 continue;
             }
-            const Act a = f.acts[f.next++];
-            SpecTraceStep step = annotate(f.w, a);
-            World w2 = f.w;
-            try {
-                apply(w2, a);
-            } catch (const ViolationEx &v) {
-                res.violation = true;
-                res.violationText = v.text;
-                res.counterexample = path;
-                res.counterexample.push_back(std::move(step));
-                finish(res);
-                return res;
-            }
-            ++res.transitions;
-            if (a.kind == kActDrop || a.kind == kActDup)
-                ++res.faultTransitions;
-            // Sample completed traces BEFORE dedup: retired-line
-            // collapse merges every clean terminal into one visited
-            // state, so sampling only at first visit would yield a
-            // single trace. Every path that just completed is a
-            // reservoir candidate.
-            if (cfg_.sampleTraces > 0 && allRetired(w2)) {
-                ++termSeen;
-                const auto want =
-                    static_cast<std::size_t>(cfg_.sampleTraces);
-                SpecTrace cand = path;
-                cand.push_back(step);
-                if (res.sampled.size() < want) {
-                    res.sampled.push_back(std::move(cand));
-                } else {
-                    const std::uint64_t r = rng.next() % termSeen;
-                    if (r < static_cast<std::uint64_t>(
-                                cfg_.sampleTraces))
-                        res.sampled[r] = std::move(cand);
-                }
-            }
-            const std::uint64_t fp = fingerprint(w2);
-            if (visited.count(fp) != 0) {
-                ++res.revisits;
-                continue;
-            }
-            if (res.states >= cfg_.maxStates) {
-                res.truncated = true;
-                break;
-            }
-            visited.emplace(fp, 1);
-            ++res.states;
             Frame nf;
-            nf.w = w2;
-            enumerate(w2, nf.acts, res.porPruned);
+            SpecTraceStep step;
+            const Edge e =
+                expand(f.w, f.acts[f.next++], path, nf.w, step, res);
+            if (e == Edge::Stop)
+                break;
+            if (e == Edge::Seen)
+                continue;
+            enumerate(nf.w, nf.acts, res.porPruned);
             path.push_back(std::move(step));
-            if (path.size() > res.maxDepth)
-                res.maxDepth = path.size();
+            res.maxDepth = std::max<std::uint64_t>(res.maxDepth,
+                                                   path.size());
             if (nf.acts.empty()) {
-                try {
-                    checkTerminal(w2);
-                } catch (const ViolationEx &v) {
-                    res.violation = true;
-                    res.violationText = v.text;
-                    res.counterexample = path;
-                    finish(res);
-                    return res;
-                }
-                ++res.terminals;
+                if (!terminalHolds(nf.w, path, res))
+                    break;
                 path.pop_back();
                 continue;
             }
             stack.push_back(std::move(nf));
         }
-        finish(res);
-        return res;
+        return finish(res);
     }
 
     SpecExplorerResult
     runBfs()
     {
         SpecExplorerResult res;
-        FlatMap<std::uint64_t, char> visited;
-        visited.reserve(1u << 12);
-
         struct BNode
         {
             World w;
             SpecTrace path;
         };
         std::deque<BNode> q;
-        const World init = initial();
-        visited.emplace(fingerprint(init), 1);
-        res.states = 1;
-        q.push_back({init, {}});
+        q.push_back({initial(), {}});
+        markInitial(q.front().w, 1u << 12, res);
         std::vector<Act> acts;
 
         while (!q.empty()) {
@@ -2396,64 +2318,139 @@ class Search : public Proto
             q.pop_front();
             enumerate(cur.w, acts, res.porPruned);
             if (acts.empty()) {
-                try {
-                    checkTerminal(cur.w);
-                } catch (const ViolationEx &v) {
-                    res.violation = true;
-                    res.violationText = v.text;
-                    res.counterexample = std::move(cur.path);
-                    finish(res);
-                    return res;
-                }
-                ++res.terminals;
+                if (!terminalHolds(cur.w, cur.path, res))
+                    break;
                 continue;
             }
             for (const Act &a : acts) {
-                SpecTraceStep step = annotate(cur.w, a);
-                World w2 = cur.w;
-                try {
-                    apply(w2, a);
-                } catch (const ViolationEx &v) {
-                    res.violation = true;
-                    res.violationText = v.text;
-                    res.counterexample = cur.path;
-                    res.counterexample.push_back(std::move(step));
-                    finish(res);
-                    return res;
-                }
-                ++res.transitions;
-                if (a.kind == kActDrop || a.kind == kActDup)
-                    ++res.faultTransitions;
-                const std::uint64_t fp = fingerprint(w2);
-                if (visited.count(fp) != 0) {
-                    ++res.revisits;
+                BNode nb;
+                SpecTraceStep step;
+                const Edge e = expand(cur.w, a, cur.path, nb.w, step, res);
+                if (e == Edge::Stop)
+                    return finish(res);
+                if (e == Edge::Seen)
                     continue;
-                }
-                if (res.states >= cfg_.maxStates) {
-                    res.truncated = true;
-                    finish(res);
-                    return res;
-                }
-                visited.emplace(fp, 1);
-                ++res.states;
-                SpecTrace p2 = cur.path;
-                p2.push_back(std::move(step));
-                if (p2.size() > res.maxDepth)
-                    res.maxDepth = p2.size();
-                q.push_back({w2, std::move(p2)});
+                nb.path = cur.path;
+                nb.path.push_back(std::move(step));
+                res.maxDepth = std::max<std::uint64_t>(res.maxDepth,
+                                                       nb.path.size());
+                q.push_back(std::move(nb));
             }
         }
-        finish(res);
-        return res;
+        return finish(res);
     }
 
   private:
+    enum class Edge
+    {
+        Stop,  ///< violation packaged or state cap hit: end the search
+        Seen,  ///< into an already-visited state
+        Fresh, ///< into a new state, now marked visited
+    };
+
     void
+    markInitial(const World &init, std::size_t reserve,
+                SpecExplorerResult &res)
+    {
+        visited_.reserve(reserve);
+        visited_.emplace(fingerprint(init), 1);
+        res.states = 1;
+    }
+
+    /**
+     * The one expand step of both searches: apply @p a to a copy of
+     * @p from (a violation is packaged with @p path plus the step),
+     * count the transition, offer a just-completed trace to the
+     * sampler, then fingerprint, deduplicate, and hold the state cap.
+     * Sampling precedes dedup: retired-line collapse merges every
+     * clean terminal into one visited state, so sampling only at first
+     * visit would yield a single trace.
+     */
+    Edge
+    expand(const World &from, const Act &a, const SpecTrace &path,
+           World &to, SpecTraceStep &step, SpecExplorerResult &res)
+    {
+        step = annotate(from, a);
+        to = from;
+        try {
+            apply(to, a);
+        } catch (const ViolationEx &v) {
+            SpecTrace trace = path;
+            trace.push_back(step);
+            report(res, v, std::move(trace));
+            return Edge::Stop;
+        }
+        ++res.transitions;
+        if (a.kind == kActDrop || a.kind == kActDup)
+            ++res.faultTransitions;
+        if (cfg_.sampleTraces > 0 && allRetired(to))
+            sample(res, path, step);
+        const std::uint64_t fp = fingerprint(to);
+        if (visited_.count(fp) != 0) {
+            ++res.revisits;
+            return Edge::Seen;
+        }
+        if (res.states >= cfg_.maxStates) {
+            res.truncated = true;
+            return Edge::Stop;
+        }
+        visited_.emplace(fp, 1);
+        ++res.states;
+        return Edge::Fresh;
+    }
+
+    /** Check a state with no enabled action; false (violation packaged
+     *  with @p path) ends the search. */
+    bool
+    terminalHolds(const World &w, const SpecTrace &path,
+                  SpecExplorerResult &res)
+    {
+        try {
+            checkTerminal(w);
+        } catch (const ViolationEx &v) {
+            report(res, v, path);
+            return false;
+        }
+        ++res.terminals;
+        return true;
+    }
+
+    static void
+    report(SpecExplorerResult &res, const ViolationEx &v, SpecTrace trace)
+    {
+        res.violation = true;
+        res.violationText = v.text;
+        res.counterexample = std::move(trace);
+    }
+
+    /** Reservoir-sample the completed trace @p path + @p step. */
+    void
+    sample(SpecExplorerResult &res, const SpecTrace &path,
+           const SpecTraceStep &step)
+    {
+        ++termSeen_;
+        const auto want = static_cast<std::size_t>(cfg_.sampleTraces);
+        SpecTrace cand = path;
+        cand.push_back(step);
+        if (res.sampled.size() < want) {
+            res.sampled.push_back(std::move(cand));
+        } else {
+            const std::uint64_t r = rng_.next() % termSeen_;
+            if (r < want)
+                res.sampled[r] = std::move(cand);
+        }
+    }
+
+    SpecExplorerResult
     finish(SpecExplorerResult &res) const
     {
         res.rowChecks = rowChecks;
+        return std::move(res);
     }
 
+    FlatMap<std::uint64_t, char> visited_;
+    XorShift rng_;
+    std::uint64_t termSeen_ = 0;
     std::vector<Act> scratch_;
     std::uint8_t buf_[2600]{};
     std::size_t len_ = 0;
@@ -2490,275 +2487,6 @@ SpecExplorer::run()
 {
     Search s(cfg_);
     return cfg_.bfs ? s.runBfs() : s.runDfs();
-}
-
-// ----------------------------------------------------------------------
-// Conformance sampling: replay sampled spec traces through the real
-// Machine (PR 2 harness: send interception + direct delivery).
-// ----------------------------------------------------------------------
-
-namespace
-{
-
-/** Ticks per settle step (same rationale as check/explorer.cc). */
-constexpr Tick kConfSettleWindow = 1u << 20;
-constexpr Tick kConfFarFuture = Tick{1} << 50;
-constexpr int kConfMaxRetryRounds = 16;
-constexpr Addr kConfLineBase = 1ull << 16;
-
-Addr
-confLineAddr(int li)
-{
-    // Distinct pages, like the model-check tests' kLine/kOtherLine.
-    return kConfLineBase + static_cast<Addr>(li) * 4096;
-}
-
-MachineConfig
-confMachine(const SpecExplorerConfig &cfg)
-{
-    MachineConfig mc = makeBaseConfig(cfg.arch);
-    mc.numPNodes = cfg.nodes;
-    mc.numThreads = cfg.nodes;
-    mc.numDNodes = cfg.arch == ArchKind::Agg ? 1 : 0;
-    mc.pNodeMemBytes = 64 * 1024;
-    mc.dNodeMemBytes = 64 * 1024;
-    mc.l1 = CacheParams{1024, 1, 64, 3};
-    mc.l2 = CacheParams{4096, 1, 64, 6};
-    fitMesh(mc.net, mc.totalNodes());
-    mc.check.enabled = true;
-    if (cfg.faults > 0) {
-        mc.faults.armRecovery = true;
-        mc.faults.timeoutTicks = kConfFarFuture;
-        mc.faults.sweepInterval = kConfFarFuture;
-    }
-    mc.validate();
-    return mc;
-}
-
-/** One trace replayed against one fresh machine. */
-class ConformanceRun
-{
-  public:
-    ConformanceRun(const SpecExplorerConfig &cfg, const SpecTrace &tr,
-                   SpecConformanceResult &sum)
-        : cfg_(cfg), tr_(tr), sum_(sum), m_(confMachine(cfg))
-    {
-        m_.setSendInterceptor([this](const Message &msg) {
-            queues_[{msg.src, msg.dst}].push_back(msg);
-            return true;
-        });
-    }
-
-    void
-    execute()
-    {
-        const std::vector<NodeId> computes = m_.computeNodes();
-        for (const SpecTraceStep &s : tr_) {
-            switch (s.kind) {
-              case SpecTraceStep::Kind::Read:
-              case SpecTraceStep::Kind::Write: {
-                const bool isWrite =
-                    s.kind == SpecTraceStep::Kind::Write;
-                const Addr addr = confLineAddr(s.line);
-                const NodeId n = computes.at(
-                    static_cast<std::size_t>(s.node));
-                m_.eq().scheduleIn(Tick{0}, [this, n, addr, isWrite] {
-                    m_.compute(n)->access(
-                        addr, isWrite,
-                        [this](Tick, ReadService) { ++completions_; });
-                });
-                if (isWrite)
-                    ++expectWrites_[blockAlign(
-                        addr, static_cast<std::uint64_t>(
-                                  m_.config().mem.lineBytes))];
-                else
-                    expectWrites_.emplace(
-                        blockAlign(addr,
-                                   static_cast<std::uint64_t>(
-                                       m_.config().mem.lineBytes)),
-                        0);
-                ++issued_;
-                settle();
-                break;
-              }
-              case SpecTraceStep::Kind::Retry: {
-                const NodeId n = computes.at(
-                    static_cast<std::size_t>(s.node));
-                m_.compute(n)->retryStalledTransactions(true);
-                settle();
-                break;
-              }
-              case SpecTraceStep::Kind::Evict:
-                panic("conformance replay got an Evict step; sample "
-                      "traces from an evicts == 0 exploration");
-              case SpecTraceStep::Kind::Deliver:
-              case SpecTraceStep::Kind::Drop:
-              case SpecTraceStep::Kind::Dup:
-                guided(s);
-                break;
-            }
-        }
-        drain();
-        checkTerminal();
-        ++sum_.replayed;
-    }
-
-  private:
-    void
-    settle()
-    {
-        m_.eq().runUntil(m_.eq().curTick() + kConfSettleWindow);
-    }
-
-    bool
-    allQuiescent() const
-    {
-        if (completions_ != issued_)
-            return false;
-        for (NodeId n : m_.computeNodes()) {
-            if (!m_.compute(n)->quiescent())
-                return false;
-        }
-        return true;
-    }
-
-    /** Match a trace delivery/fault event to a live pair-queue head by
-     *  (message type, line). The real machine's traffic is a superset
-     *  of the abstract model's (it also has e.g. timing-only flows),
-     *  and fault recovery can diverge in detail, so an unmatched step
-     *  is skipped and counted — the terminal checks are the bar. */
-    void
-    guided(const SpecTraceStep &s)
-    {
-        const Addr line = confLineAddr(s.line);
-        for (auto &[key, q] : queues_) {
-            if (q.empty() || q.front().type != s.msg ||
-                q.front().lineAddr != line)
-                continue;
-            const Message msg = q.front();
-            switch (s.kind) {
-              case SpecTraceStep::Kind::Deliver:
-                q.pop_front();
-                m_.deliverDirect(msg);
-                ++sum_.deliveries;
-                break;
-              case SpecTraceStep::Kind::Drop:
-                q.pop_front();
-                break;
-              case SpecTraceStep::Kind::Dup:
-                // Deliver the head and leave the copy queued, exactly
-                // like the abstract model's Dup transition.
-                m_.deliverDirect(msg);
-                ++sum_.deliveries;
-                break;
-              default:
-                break;
-            }
-            ++sum_.guidedSteps;
-            settle();
-            return;
-        }
-        ++sum_.missedSteps;
-    }
-
-    /** The trace script is exhausted; deliver whatever remains (the
-     *  trace's own tail plus any recovery traffic) until quiescence. */
-    void
-    drain()
-    {
-        int retryRounds = 0;
-        while (true) {
-            settle();
-            bool delivered = false;
-            for (auto &[key, q] : queues_) {
-                if (q.empty())
-                    continue;
-                const Message msg = q.front();
-                q.pop_front();
-                m_.deliverDirect(msg);
-                ++sum_.deliveries;
-                delivered = true;
-                break;
-            }
-            if (delivered)
-                continue;
-            if (allQuiescent())
-                return;
-            if (cfg_.faults == 0)
-                panic("conformance replay deadlocked without faults\n" +
-                      m_.stuckDiagnostic());
-            if (++retryRounds > kConfMaxRetryRounds)
-                panic("conformance replay wedged: " +
-                      std::to_string(kConfMaxRetryRounds) +
-                      " forced-retry rounds made no progress\n" +
-                      m_.stuckDiagnostic());
-            for (NodeId n : m_.computeNodes())
-                m_.compute(n)->retryStalledTransactions(true);
-        }
-    }
-
-    void
-    checkTerminal()
-    {
-        if (completions_ != issued_)
-            panic("conformance replay lost accesses: " +
-                  std::to_string(completions_) + "/" +
-                  std::to_string(issued_) + " completed\n" +
-                  m_.stuckDiagnostic());
-        m_.checkInvariants();
-        m_.checkCoherenceQuiescent();
-        // Mirror of the abstract terminal check: scrubbed write
-        // retries re-serialize, so versions may run ahead by exactly
-        // the homes' re-serialization count.
-        Version extra = 0;
-        for (const auto &[line, v] : expectWrites_) {
-            const Version got = m_.latestVersion(line);
-            if (got < v)
-                panic("conformance replay version mismatch on line " +
-                      std::to_string(line) + ": committed v" +
-                      std::to_string(got) + ", trace wrote " +
-                      std::to_string(v) + " times" +
-                      m_.oracle().lineHistory(line));
-            extra += got - v;
-        }
-        const auto reserved =
-            m_.stats().get("home.extra_write_serializations");
-        if (extra != static_cast<Version>(reserved))
-            panic("conformance replay: final versions run " +
-                  std::to_string(extra) +
-                  " ahead of the trace's write count but the homes "
-                  "re-serialized " +
-                  std::to_string(reserved) + " scrubbed write retries");
-        if (m_.oracle().violations() != 0)
-            panic("conformance replay ended with " +
-                  std::to_string(m_.oracle().violations()) +
-                  " coherence-oracle violations");
-    }
-
-    const SpecExplorerConfig &cfg_;
-    const SpecTrace &tr_;
-    SpecConformanceResult &sum_;
-    Machine m_;
-    std::map<std::pair<NodeId, NodeId>, std::deque<Message>> queues_;
-    std::map<Addr, Version> expectWrites_;
-    std::size_t issued_ = 0;
-    std::size_t completions_ = 0;
-};
-
-} // namespace
-
-SpecConformanceResult
-replaySpecTraces(const SpecExplorerConfig &cfg,
-                 const std::vector<SpecTrace> &traces)
-{
-    if (cfg.mutation != SpecMutation::None)
-        fatal("conformance replay is for unmutated specs");
-    SpecConformanceResult sum;
-    for (const SpecTrace &tr : traces) {
-        ConformanceRun run(cfg, tr, sum);
-        run.execute();
-    }
-    return sum;
 }
 
 } // namespace pimdsm

@@ -19,13 +19,14 @@
  * model's per-line independence: only the lowest-numbered line with
  * enabled transitions is expanded at each state (an ample set; see
  * docs/model-checking.md for the commutation argument). Single-fault
- * injection (drop/dup, per the PR 1 fault taxonomy classes) is folded
+ * injection (drop/dup, per the fault taxonomy classes) is folded
  * into the transition relation under a per-line budget.
  *
  * A conformance-sampling mode replays a random sample of explored
- * terminal traces through the real Machine via the PR 2 explorer
- * harness (send interception + direct delivery), with the coherence
- * oracle armed, tying the abstract model back to the implementation.
+ * terminal traces through the real Machine on the schedule harness
+ * the Explorer also runs on (check/explorer.hh: send interception +
+ * direct delivery), with the coherence oracle armed, tying the
+ * abstract model back to the implementation.
  */
 
 #ifndef PIMDSM_CHECK_SPEC_EXPLORER_HH
@@ -91,7 +92,6 @@ struct SpecExplorerConfig
     std::uint64_t maxStates = 1ull << 25;
     /** Reservoir-sample this many terminal traces (conformance). */
     int sampleTraces = 0;
-    std::uint64_t sampleSeed = 1;
 };
 
 /** One event of a sampled or counterexample trace. */
@@ -153,7 +153,7 @@ class SpecExplorer
 };
 
 /** Conformance-sampling summary (all traces must replay cleanly; any
- *  oracle/invariant/quiescence failure panics like the explorer). */
+ *  oracle/invariant/quiescence failure panics, as in the Explorer). */
 struct SpecConformanceResult
 {
     int replayed = 0;               ///< traces driven to quiescence
@@ -163,13 +163,13 @@ struct SpecConformanceResult
 };
 
 /**
- * Replay @p traces through a real Machine of @p cfg's organization:
- * scripted accesses are issued in trace order and message deliveries
- * (plus injected drops/dups) are scheduled to follow the trace's
- * interleaving where the real machine offers a matching choice. Every
- * run must reach quiescence and pass the full terminal checks
- * (machine invariants, quiescent coherence scan, sequential version
- * reference, zero oracle violations); any failure panics. Traces with
+ * Replay @p traces through a real Machine of @p cfg's organization on
+ * the schedule harness (check/explorer.hh): scripted accesses are
+ * issued in trace order, and each delivery (or injected drop/dup)
+ * takes the first live queue head matching its (type, line). After
+ * the trace, the run takes the Explorer's default path — choice 0,
+ * forced retries when stalled — to quiescence and must pass the
+ * harness's terminal checks; any failure panics. Traces with
  * evictions are rejected (the real machine's evictions are
  * capacity-driven and cannot be scripted) — sample from an
  * evicts == 0 exploration.

@@ -3,7 +3,8 @@
  * Protocol model checking: exhaustively explore message-delivery
  * orderings (plus single injected faults) of tiny scripted workloads,
  * asserting coherence, quiescence, and the sequential version
- * reference on every schedule (see src/check/explorer.hh).
+ * reference on every schedule, and show that each seeded protocol
+ * mutation makes some schedule fail (see src/check/explorer.hh).
  */
 
 #include <gtest/gtest.h>
@@ -16,30 +17,14 @@ namespace pimdsm
 namespace
 {
 
-constexpr Addr kLine = 1ull << 16;
-constexpr Addr kOtherLine = kLine + 4096; // different page
-
-MachineConfig
-tinyCfg(ArchKind arch, int p, int d)
-{
-    MachineConfig cfg = makeBaseConfig(arch);
-    cfg.numPNodes = p;
-    cfg.numThreads = p;
-    cfg.numDNodes = arch == ArchKind::Agg ? d : 0;
-    cfg.pNodeMemBytes = 64 * 1024;
-    cfg.dNodeMemBytes = 64 * 1024;
-    cfg.l1 = CacheParams{1024, 1, 64, 3};
-    cfg.l2 = CacheParams{4096, 1, 64, 6};
-    fitMesh(cfg.net, cfg.totalNodes());
-    cfg.validate();
-    return cfg;
-}
+constexpr Addr kLine = tinyCheckLine(0);
+constexpr Addr kOtherLine = tinyCheckLine(1);
 
 ExplorerConfig
 twoWriterConflict(ArchKind arch, int p, int d)
 {
     ExplorerConfig ec;
-    ec.machine = tinyCfg(arch, p, d);
+    ec.machine = tinyCheckMachine(arch, p, d);
     ec.accesses = {
         {0, kLine, true},
         {1, kLine, true},
@@ -47,6 +32,26 @@ twoWriterConflict(ArchKind arch, int p, int d)
         {1, kLine, false},
     };
     return ec;
+}
+
+/** Every counter of a finished exploration. The trees are
+ *  deterministic, so a harness or protocol change that reshapes one
+ *  shows here instead of passing the loose lower bounds. */
+struct Tree
+{
+    std::uint64_t schedules, decisions, visited, reExecuted,
+        faultSchedules;
+};
+
+void
+expectTree(const ExplorerResult &res, const Tree &t)
+{
+    EXPECT_FALSE(res.truncated);
+    EXPECT_EQ(res.schedules, t.schedules);
+    EXPECT_EQ(res.decisions, t.decisions);
+    EXPECT_EQ(res.visited, t.visited);
+    EXPECT_EQ(res.reExecuted, t.reExecuted);
+    EXPECT_EQ(res.faultSchedules, t.faultSchedules);
 }
 
 // ------------------------------------------- pure delivery reordering
@@ -66,8 +71,7 @@ TEST(ModelCheck, AggTwoWritersEveryOrderingIsCoherent)
     EXPECT_EQ(res.decisions, res.visited + res.reExecuted);
     EXPECT_GT(res.visited, 0u);
     EXPECT_GT(res.reExecuted, 0u);
-    // Nothing in this tiny workload reaches the depth cap.
-    EXPECT_EQ(res.pruned, 0u);
+    expectTree(res, {4, 24, 19, 5, 0});
 }
 
 TEST(ModelCheck, NumaTwoWritersEveryOrderingIsCoherent)
@@ -77,6 +81,7 @@ TEST(ModelCheck, NumaTwoWritersEveryOrderingIsCoherent)
     Explorer ex(std::move(ec));
     const ExplorerResult res = ex.run();
     EXPECT_GE(res.schedules, 2u);
+    expectTree(res, {4, 24, 19, 5, 0});
 }
 
 TEST(ModelCheck, ComaTwoWritersEveryOrderingIsCoherent)
@@ -86,22 +91,23 @@ TEST(ModelCheck, ComaTwoWritersEveryOrderingIsCoherent)
     Explorer ex(std::move(ec));
     const ExplorerResult res = ex.run();
     EXPECT_GE(res.schedules, 2u);
+    expectTree(res, {4, 24, 19, 5, 0});
 }
 
 TEST(ModelCheck, FalseSharingTwoLinesStaysCoherent)
 {
+    // Two writers on two lines, then a cross-line read: the whole tree
+    // (adding the mirror read {1 R A} takes it to 42,384 schedules).
     ExplorerConfig ec;
-    ec.machine = tinyCfg(ArchKind::Agg, 2, 1);
+    ec.machine = tinyCheckMachine(ArchKind::Agg, 2, 1);
     ec.accesses = {
         {0, kLine, true},
         {1, kOtherLine, true},
         {0, kOtherLine, false},
-        {1, kLine, false},
     };
-    ec.maxSchedules = 20000;
     Explorer ex(std::move(ec));
     const ExplorerResult res = ex.run();
-    EXPECT_GE(res.schedules, 2u);
+    expectTree(res, {127, 1143, 329, 814, 0});
 }
 
 // ----------------------------------------- one drop or one duplicate
@@ -128,6 +134,7 @@ TEST(ModelCheck, AggDropDupExploresOverAThousandSchedules)
     // exactly the cost the spec-level checker's visited-set dedup
     // avoids (docs/model-checking.md).
     EXPECT_GT(res.reExecuted, res.visited);
+    expectTree(res, {1774, 16730, 4705, 12025, 1770});
 }
 
 TEST(ModelCheck, NumaDropDupStaysCoherent)
@@ -139,6 +146,7 @@ TEST(ModelCheck, NumaDropDupStaysCoherent)
     const ExplorerResult res = ex.run();
     EXPECT_GE(res.schedules, 50u);
     EXPECT_GT(res.faultSchedules, 0u);
+    expectTree(res, {76, 586, 277, 309, 72});
 }
 
 // --------------------------------------------- one D-node fail-stop
@@ -154,14 +162,97 @@ TEST(ModelCheck, AggDNodeDeathAtEveryPointRecovers)
     const ExplorerResult res = ex.run();
     EXPECT_GE(res.schedules, 10u);
     EXPECT_GT(res.faultSchedules, 0u);
+    expectTree(res, {42, 290, 157, 133, 38});
 }
+
+// ------------------------------------------------ mutation self-tests
+
+// Each seeded protocol bug (sim/config.hh ProtoMutation) must make some
+// schedule panic; the same script with the mutation off runs clean, so
+// the checks fire on the bug, not on the workload.
+struct MutationCase
+{
+    ProtoMutation mutation;
+    ArchKind arch;
+    std::vector<ScriptedAccess> accesses;
+};
+
+const std::vector<ScriptedAccess> kReadThenWrite = {
+    {0, kLine, false},
+    {1, kLine, true},
+};
+const std::vector<ScriptedAccess> kAbsorbThenWrite = {
+    {1, kLine, false}, // the home absorbs a copy into a Data slot
+    {0, kLine, true},  // the write grant releases the slot
+};
+
+ExplorerConfig
+mutationExplorer(const MutationCase &c, ProtoMutation mutation)
+{
+    ExplorerConfig ec = twoWriterConflict(c.arch, 2, 1);
+    if (!c.accesses.empty())
+        ec.accesses = c.accesses;
+    ec.machine.check.mutation = mutation;
+    return ec;
+}
+
+class ModelCheckMutation : public ::testing::TestWithParam<MutationCase>
+{
+};
+
+TEST_P(ModelCheckMutation, IsCaught)
+{
+    Explorer ex(mutationExplorer(GetParam(), GetParam().mutation));
+    EXPECT_THROW(ex.run(), PanicError);
+}
+
+TEST_P(ModelCheckMutation, CleanWhenDisabled)
+{
+    Explorer ex(mutationExplorer(GetParam(), ProtoMutation::None));
+    EXPECT_FALSE(ex.run().truncated);
+}
+
+const char *
+mutationName(ProtoMutation m)
+{
+    switch (m) {
+      case ProtoMutation::SkipInval:
+        return "SkipInval";
+      case ProtoMutation::DoubleOwner:
+        return "DoubleOwner";
+      case ProtoMutation::LeakSlot:
+        return "LeakSlot";
+      case ProtoMutation::None:
+        break;
+    }
+    return "None";
+}
+
+// An empty script means the two-writer conflict.
+INSTANTIATE_TEST_SUITE_P(
+    Seeded, ModelCheckMutation,
+    ::testing::Values(
+        MutationCase{ProtoMutation::SkipInval, ArchKind::Agg, kReadThenWrite},
+        MutationCase{ProtoMutation::SkipInval, ArchKind::Coma,
+                     kReadThenWrite},
+        MutationCase{ProtoMutation::SkipInval, ArchKind::Numa,
+                     kReadThenWrite},
+        MutationCase{ProtoMutation::DoubleOwner, ArchKind::Agg, {}},
+        MutationCase{ProtoMutation::DoubleOwner, ArchKind::Coma, {}},
+        MutationCase{ProtoMutation::DoubleOwner, ArchKind::Numa, {}},
+        MutationCase{ProtoMutation::LeakSlot, ArchKind::Agg,
+                     kAbsorbThenWrite}),
+    [](const auto &info) {
+        return std::string(mutationName(info.param.mutation)) + "_" +
+               archName(info.param.arch);
+    });
 
 // ------------------------------------------------- config validation
 
 TEST(ModelCheck, RejectsEmptyScript)
 {
     ExplorerConfig ec;
-    ec.machine = tinyCfg(ArchKind::Agg, 2, 1);
+    ec.machine = tinyCheckMachine(ArchKind::Agg, 2, 1);
     EXPECT_THROW(Explorer{std::move(ec)}, FatalError);
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/explorer.hh"
 #include "machine/machine.hh"
 #include "sim/log.hh"
 
@@ -22,18 +23,9 @@ constexpr Addr kLine = 1ull << 20;
 MachineConfig
 checkedCfg(ProtoMutation mutation)
 {
-    MachineConfig cfg = makeBaseConfig(ArchKind::Agg);
-    cfg.numPNodes = 2;
-    cfg.numThreads = 2;
-    cfg.numDNodes = 1;
-    cfg.pNodeMemBytes = 64 * 1024;
-    cfg.dNodeMemBytes = 64 * 1024;
-    cfg.l1 = CacheParams{1024, 1, 64, 3};
-    cfg.l2 = CacheParams{4096, 1, 64, 6};
+    MachineConfig cfg = tinyCheckMachine(ArchKind::Agg, 2, 1);
     cfg.check.enabled = true;
     cfg.check.mutation = mutation;
-    fitMesh(cfg.net, cfg.totalNodes());
-    cfg.validate();
     return cfg;
 }
 

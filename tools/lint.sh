@@ -144,21 +144,20 @@ fi
 # --- 6b. Transition-table construction discipline ---------------------
 # The declarative protocol spec is single-source: transition tables are
 # built ONLY in src/proto/spec.cc (the real spec) and consumed — never
-# rebuilt — everywhere else. The abstract model checker
-# (src/check/spec_explorer.cc) holds a private spec copy to seed
-# mutation self-tests, and tests/test_protocheck.cc corrupts copies to
-# prove the static analyzer catches each violation kind; both are
-# deliberate. Any other builder call (declareMsg / on / ignore /
-# impossible / ProtocolSpec::build) forks the protocol definition and
-# will silently drift from the checked spec.
+# rebuilt — everywhere else (the abstract model checker copies
+# ProtocolSpec::instance() to seed its mutation self-tests).
+# tests/test_protocheck.cc corrupts built copies to prove the static
+# analyzer catches each violation kind; that is deliberate. Any other
+# builder call (declareMsg / on / ignore / impossible /
+# ProtocolSpec::build) forks the protocol definition and will silently
+# drift from the checked spec.
 hits=$(src_files | cat - <(find tools -name '*.cc' | sort) |
        grep -vE 'src/proto/spec\.(cc|hh)' |
-       grep -v 'src/check/spec_explorer.cc' |
        grep -v 'tests/test_protocheck.cc' |
        xargs grep -nE '\bdeclareMsg\([^)]|\.on\((spec::)?(Role|R)::|\.ignore\((spec::)?(Role|R)::|\.impossible\((spec::)?(Role|R)::|ProtocolSpec::build\(' \
            2>/dev/null)
 if [ -n "$hits" ]; then
-    complain "transition-table construction outside src/proto/spec.cc / src/check/spec_explorer.cc (single-source spec):" "$hits"
+    complain "transition-table construction outside src/proto/spec.cc (single-source spec):" "$hits"
 fi
 
 # --- 7. Fault enum exhaustiveness -------------------------------------

@@ -30,6 +30,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -105,10 +106,11 @@ printTrace(const SpecTrace &tr)
         std::cout << "    " << ++i << ". " << s.text << "\n";
 }
 
-} // namespace
-
+/** The explorer run behind main(); usage errors throw
+ *  std::invalid_argument / std::out_of_range (or FatalError from the
+ *  config validation), which main() turns into exit status 2. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::vector<ArchKind> archs = {ArchKind::Agg, ArchKind::Coma,
                                    ArchKind::Numa};
@@ -117,30 +119,45 @@ main(int argc, char **argv)
     double drift = 0.25;
     int conformance = 0;
 
-    auto intArg = [&](int &i) {
-        if (i + 1 >= argc) {
-            std::cerr << "speccheck: " << argv[i]
-                      << " needs a value\n";
-            std::exit(2);
+    // Each takes the value after flag argv[i] and advances i past it.
+    auto value = [&](int &i) -> std::string {
+        if (i + 1 >= argc)
+            throw std::invalid_argument(std::string(argv[i]) +
+                                        " needs a value");
+        return argv[++i];
+    };
+    // The whole value must parse: "12abc" is an error, not 12.
+    auto parsed = [&](int &i, auto conv) {
+        const std::string flag = argv[i];
+        const std::string v = value(i);
+        try {
+            std::size_t used = 0;
+            const auto n = conv(v, &used);
+            if (used == v.size())
+                return n;
+        } catch (const std::logic_error &) {
+            // stoi/stoll/stod: not a number, or out of range
         }
-        return std::stoi(argv[++i]);
+        throw std::invalid_argument(flag + " needs a number, not '" + v +
+                                    "'");
+    };
+    auto intArg = [&](int &i) {
+        return parsed(i, [](const std::string &v, std::size_t *used) {
+            return std::stoi(v, used);
+        });
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--arch" && i + 1 < argc) {
-            const std::string a = argv[++i];
+        if (arg == "--arch") {
+            const std::string a = value(i);
             if (a == "agg")
                 archs = {ArchKind::Agg};
             else if (a == "coma")
                 archs = {ArchKind::Coma};
             else if (a == "numa")
                 archs = {ArchKind::Numa};
-            else if (a == "all")
-                ;
-            else {
-                std::cerr << "speccheck: unknown arch '" << a << "'\n";
-                return 2;
-            }
+            else if (a != "all")
+                throw std::invalid_argument("unknown arch '" + a + "'");
         } else if (arg == "--nodes") {
             base.nodes = intArg(i);
         } else if (arg == "--lines") {
@@ -156,16 +173,23 @@ main(int argc, char **argv)
         } else if (arg == "--faults") {
             base.faults = intArg(i);
         } else if (arg == "--max-states") {
-            base.maxStates = static_cast<std::uint64_t>(
-                std::stoll(argv[++i]));
+            const long long n =
+                parsed(i, [](const std::string &v, std::size_t *used) {
+                    return std::stoll(v, used);
+                });
+            if (n < 1)
+                throw std::out_of_range("--max-states must be positive");
+            base.maxStates = static_cast<std::uint64_t>(n);
         } else if (arg == "--conformance") {
             conformance = intArg(i);
-        } else if (arg == "--json" && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baselinePath = argv[++i];
-        } else if (arg == "--drift" && i + 1 < argc) {
-            drift = std::stod(argv[++i]);
+        } else if (arg == "--json") {
+            jsonPath = value(i);
+        } else if (arg == "--baseline") {
+            baselinePath = value(i);
+        } else if (arg == "--drift") {
+            drift = parsed(i, [](const std::string &v, std::size_t *used) {
+                return std::stod(v, used);
+            });
         } else if (arg == "-h" || arg == "--help") {
             std::cout
                 << "usage: pimdsm-speccheck [--arch agg|coma|numa|all]\n"
@@ -175,9 +199,7 @@ main(int argc, char **argv)
                    "  [--drift F] [--conformance N]\n";
             return 0;
         } else {
-            std::cerr << "speccheck: unknown argument '" << arg
-                      << "'\n";
-            return 2;
+            throw std::invalid_argument("unknown argument '" + arg + "'");
         }
     }
 
@@ -303,4 +325,21 @@ main(int argc, char **argv)
     }
     std::cout << (ok ? "speccheck: OK" : "speccheck: FAILED") << "\n";
     return ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << "\n";
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "speccheck: " << e.what() << "\n";
+    } catch (const std::out_of_range &e) {
+        std::cerr << "speccheck: " << e.what() << "\n";
+    }
+    return 2;
 }
